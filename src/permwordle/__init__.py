@@ -27,7 +27,6 @@ from .engine import (
     next_guess,
     play,
     relative_derangement,
-    rho,
     solve_rounds,
     subgame_guesses,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "parse_strategy",
     "play",
     "relative_derangement",
-    "rho",
     "rho_class_counts",
     "scan",
     "solve_rounds",

@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import comb, factorial, inf
 
 from . import closedform, perms, strategies
-from .engine import LOOPED, SubgameMemo, _chase, play, solve_rounds
+from .engine import LOOPED, SubgameMemo, _chase, play, solve_rounds, successor
 from .perms import Perm
 from .strategies import Strategy
 
@@ -72,61 +72,35 @@ def _derangements(k: int) -> tuple[Perm, ...]:
     return tuple(perms.enumerate_perms(k, "derangements"))
 
 
-def _prefix_hist(
-    strategy: Strategy,
-    k: int,
-    memo: SubgameMemo,
-    tables: dict[int, dict[Perm, int | float]],
-) -> dict[int | float, int]:
-    """Histogram of T over D_k, cached on the component prefix s_1..s_k.
-
-    Computing it also fills the size-k table completely, which the
-    top-level pass relies on for direct lookups.
-    """
-    prefix = strategy.components[:k]
-    hist = memo.hist_cache.get(prefix)
-    if hist is None:
-        hist = {}
-        invs, comps = strategy.inverses, strategy.components
-        for d in _derangements(k):
-            t = _chase(d, invs, comps, tables)
-            hist[t] = hist.get(t, 0) + 1
-        memo.hist_cache[prefix] = hist
-    return hist
-
-
-def _top_stats(
-    strategy: Strategy, tables: dict[int, dict[Perm, int | float]]
-) -> tuple[dict[int | float, int], int, int]:
-    """T histogram over D_n for the top component, plus the split of T = 2
-    derangements by whether the first application locked anything (a hit on
-    guess two versus a hit only on the final guess three)."""
-    n = strategy.n
+def _size_stats(
+    k: int, strategy: Strategy, tables: dict[int, dict[Perm, int | float]]
+) -> tuple[dict[int | float, int], int]:
+    """Histogram of T over D_k, plus the number of d with T(d) = 2 whose
+    first step locked nothing (hit only on the final guess three rather
+    than on guess two).  Fills the size-k table completely."""
     invs, comps = strategy.inverses, strategy.components
-    g = invs[n - 1]
-    positions = range(n)
+    component, guess = comps[k - 1], invs[k - 1]
+    table = tables[k]
     hist: dict[int | float, int] = {}
-    hit_on_two = miss_till_three = 0
-    for d in _derangements(n):
-        wrong = [q for q in positions if g[q] != d[q]]
-        m = len(wrong)
-        if m == 0:
-            t = 1
-        elif m == n:
-            t = _chase(d, invs, comps, tables)
-            if t == 2:
-                miss_till_three += 1
-        else:
-            slot: dict[int, int] = {}
-            j = 1
-            for q in wrong:
-                slot[g[q]] = j
-                j += 1
-            t = tables[m][tuple(slot[d[q]] for q in wrong)] + 1
-            if t == 2:
-                hit_on_two += 1
+    no_lock = 0
+    for d in _derangements(k):
+        t = table.get(d)
+        # A cached value skips the step, except T = 2, whose split by the
+        # size of the successor is counted here.
+        if t is None or t == 2:
+            e = successor(d, component, guess)
+            if e:
+                t = tables[len(e)].get(e)
+                if t is None:
+                    t = _chase(e, invs, comps, tables)
+                t += 1
+                if t == 2 and len(e) == k:
+                    no_lock += 1
+            else:
+                t = 1
+            table[d] = t
         hist[t] = hist.get(t, 0) + 1
-    return hist, hit_on_two, miss_till_three
+    return hist, no_lock
 
 
 def decomposition_stats(
@@ -148,9 +122,13 @@ def decomposition_stats(
     tables[n] = {}  # the top-size table stays local to this strategy
     hists: dict[int, dict[int | float, int]] = {}
     for k in range(2, n):
-        hists[k] = _prefix_hist(strategy, k, memo, tables)
-    top_hist, rho2, rho3 = _top_stats(strategy, tables)
-    hists[n] = top_hist
+        # Histograms below the top size are shared by every strategy with
+        # the same components s_1..s_k.
+        prefix = strategy.components[:k]
+        if prefix not in memo.hist_cache:
+            memo.hist_cache[prefix] = _size_stats(k, strategy, tables)[0]
+        hists[k] = memo.hist_cache[prefix]
+    hists[n], no_lock = _size_stats(n, strategy, tables)
     coeffs = {1: 1}
     loops = 0
     for k in range(2, n + 1):
@@ -162,7 +140,10 @@ def decomposition_stats(
                 coeffs[t + 1] = coeffs.get(t + 1, 0) + ways * cnt
     rho1 = sum(comb(n, k) * hists[k].get(2, 0) for k in range(2, n))
     gf = GFCoefficients(n, coeffs, loops)
-    return gf, {1: rho1, 2: rho2, 3: rho3}
+    # A top-size d with T(d) = 2 is hit on guess two exactly when its first
+    # step locked something; otherwise guess three is its first hit.
+    rho2 = hists[n].get(2, 0) - no_lock
+    return gf, {1: rho1, 2: rho2, 3: no_lock}
 
 
 def gf_playback(strategy: Strategy) -> GFCoefficients:

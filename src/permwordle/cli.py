@@ -426,11 +426,19 @@ def _add_common_output(p, formats=("text", "json")) -> None:
     )
 
 
+def _default_jobs() -> int:
+    """CPUs this process may run on, which can be fewer than the machine has."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _add_work_flags(p) -> None:
     p.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
+        default=_default_jobs(),
         help="worker processes for scans (results are identical for any value)",
     )
     p.add_argument(

@@ -42,8 +42,11 @@ def feedback(guess: Perm, secret: Perm) -> frozenset[int]:
     hits = frozenset(
         i for i, (g, s) in enumerate(zip(guess, secret), 1) if g == s
     )
-    # A lone disagreement is impossible between permutations of the same set.
-    assert len(hits) != len(guess) - 1 or len(guess) == 1
+    if len(hits) == len(guess) - 1 and len(guess) > 1:
+        raise ValueError(
+            "guess and secret disagree in exactly one position, so they are "
+            "not permutations of the same set"
+        )
     return hits
 
 
@@ -145,15 +148,6 @@ def solve_rounds(secret: Perm, strategy: Strategy) -> int | float:
         current = next_guess(current, hits, strategy)
 
 
-def rho(secret: Perm, strategy: Strategy) -> int | None:
-    """Index of the first guess with a non-empty correct set.
-
-    Returns None ("no rho") for a looped game whose recorded correct sets
-    are all empty.
-    """
-    return play(secret, strategy).first_hit
-
-
 def relative_derangement(p: Perm) -> Perm:
     """The non-fixed part of p as a derangement on {1..k}.
 
@@ -192,22 +186,44 @@ class SubgameMemo:
         return {size: self.table(strategy, size) for size in range(2, k + 1)}
 
 
+def successor(d: Perm, component: Perm, guess: Perm) -> Perm:
+    """The subgame reached from the all-wrong state with relative secret d
+    after one application of ``component``: rd(component o d).
+
+    ``guess`` is the inverse of the component (the next guess in relative
+    terms); it agrees with d exactly at the fixed points of component o d,
+    so those are the positions that lock.  Returns () when the guess is d.
+    """
+    wrong = [q for q, g in enumerate(guess) if g != d[q]]
+    if len(wrong) == len(d):
+        # Nothing locked: relabel so the new guess becomes the identity.
+        return tuple([component[v - 1] for v in d])
+    # Lock the matches; rank the leftover positions and re-express the
+    # leftover secret values in the new guess's ordering.
+    slot = [0] * (len(d) + 1)
+    for j, q in enumerate(wrong, 1):
+        slot[guess[q]] = j
+    return tuple([slot[d[q]] for q in wrong])
+
+
 def _chase(
     d: Perm,
     invs: tuple[Perm, ...],
     comps: tuple[Perm, ...],
     tables: dict[int, dict[Perm, int | float]],
 ) -> int | float:
-    """T(d) by following the deterministic successor chain, memoizing as it
-    unwinds.  Each state has exactly one successor, so evaluation walks
-    until it hits a cached value, a finishing guess, or a repeated state
-    (which proves every state on the chain loops forever)."""
+    """T(d) by following T(d) = 1 + T(successor(d)), T(()) = 0, memoizing
+    as the chain unwinds.  Each state has exactly one successor, so
+    evaluation walks until it hits a cached value, the empty state, or a
+    repeated state (which proves every state on the chain loops forever)."""
     chain: list[Perm] = []
     on_chain: set[Perm] = set()
-    k = len(d)
-    while True:
-        t = tables[k].get(d)
-        if t is not None:
+    t = 0
+    while d:
+        k = len(d)
+        cached = tables[k].get(d)
+        if cached is not None:
+            t = cached
             break
         if d in on_chain:
             for dd in chain:
@@ -215,26 +231,7 @@ def _chase(
             return LOOPED
         on_chain.add(d)
         chain.append(d)
-        g = invs[k - 1]
-        wrong = [q for q in range(k) if g[q] != d[q]]
-        m = len(wrong)
-        if m == 0:
-            t = 0  # the guess just produced is the secret
-            break
-        if m == k:
-            # Nothing locked: relabel so the new guess becomes the identity.
-            comp = comps[k - 1]
-            d = tuple(comp[v - 1] for v in d)
-        else:
-            # Lock the matches; rank the leftover positions and re-express
-            # the leftover secret values in the new guess's ordering.
-            slot: dict[int, int] = {}
-            j = 1
-            for q in wrong:
-                slot[g[q]] = j
-                j += 1
-            d = tuple(slot[d[q]] for q in wrong)
-            k = m
+        d = successor(d, comps[k - 1], invs[k - 1])
     for dd in reversed(chain):
         t += 1
         tables[len(dd)][dd] = t

@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import analysis, closedform, perms, strategies
@@ -117,10 +118,6 @@ def _row(n: int, observed, expected, ok: bool, label: str | None = None) -> dict
 
 def _cs_id(n: int) -> str:
     return strategies.cyclic_shift(n).text
-
-
-def _csl_id(n: int) -> str:
-    return strategies.cyclic_shift_left_top(n).text
 
 
 def _mirror_cs_id(n: int) -> str:
@@ -307,50 +304,39 @@ def _check_rho3(lo: int, hi: int, cache: ScanCache):
     return rows, ()
 
 
-def _check_cs_rho2(lo: int, hi: int, cache: ScanCache):
+def _check_rho2(lo: int, hi: int, cache: ScanCache, *, strategy, closed):
+    """The guess-two first-hit count of ``strategy(n)`` by decomposition,
+    against its closed form."""
     rows = []
     for n in range(lo, hi + 1):
-        _, rho = analysis.decomposition_stats(strategies.cyclic_shift(n))
-        expected = closedform.cs_rho2_count(n)
+        _, rho = analysis.decomposition_stats(strategy(n))
+        expected = closed(n)
         rows.append(_row(n, rho[2], expected, rho[2] == expected))
     return rows, ()
 
 
-def _check_best_rho2(lo: int, hi: int, cache: ScanCache):
-    """Right shift attains the unique maximum first-hit-on-guess-two count
-    over all inductive strategies."""
+def _check_rho2_extreme(lo: int, hi: int, cache: ScanCache, *, pick, strategy, closed):
+    """``strategy(n)`` alone attains the extreme (``pick`` is max or min)
+    first-hit-on-guess-two count over all inductive strategies."""
     rows = []
     for n in range(lo, hi + 1):
         result = cache.scan(n, "inductive")
-        best = max(row.rho[2] for row in result.rows)
-        ids = tuple(row.strategy_id for row in result.rows if row.rho[2] == best)
-        expected = {"value": closedform.cs_rho2_count(n), "strategies": [_cs_id(n)]}
-        ok = best == closedform.cs_rho2_count(n) and ids == (_cs_id(n),)
-        rows.append(_row(n, {"value": best, "strategies": ids}, expected, ok))
+        value = pick(row.rho[2] for row in result.rows)
+        ids = tuple(row.strategy_id for row in result.rows if row.rho[2] == value)
+        attainer = strategy(n).text
+        expected = {"value": closed(n), "strategies": [attainer]}
+        ok = value == closed(n) and ids == (attainer,)
+        rows.append(_row(n, {"value": value, "strategies": ids}, expected, ok))
     return rows, ()
 
 
-def _check_csl_rho2(lo: int, hi: int, cache: ScanCache):
-    rows = []
-    for n in range(lo, hi + 1):
-        _, rho = analysis.decomposition_stats(strategies.cyclic_shift_left_top(n))
-        expected = closedform.csl_rho2_count(n)
-        rows.append(_row(n, rho[2], expected, rho[2] == expected))
-    return rows, ()
-
-
-def _check_worst_rho2(lo: int, hi: int, cache: ScanCache):
-    """The left-shift-top strategy attains the unique minimum first-hit-on-
-    guess-two count over all inductive strategies."""
-    rows = []
-    for n in range(lo, hi + 1):
-        result = cache.scan(n, "inductive")
-        worst = min(row.rho[2] for row in result.rows)
-        ids = tuple(row.strategy_id for row in result.rows if row.rho[2] == worst)
-        expected = {"value": closedform.csl_rho2_count(n), "strategies": [_csl_id(n)]}
-        ok = worst == closedform.csl_rho2_count(n) and ids == (_csl_id(n),)
-        rows.append(_row(n, {"value": worst, "strategies": ids}, expected, ok))
-    return rows, ()
+# The two strategies the guess-two first-hit checks are about, each with
+# its closed-form count.
+_CS_RHO2 = {"strategy": strategies.cyclic_shift, "closed": closedform.cs_rho2_count}
+_CSL_RHO2 = {
+    "strategy": strategies.cyclic_shift_left_top,
+    "closed": closedform.csl_rho2_count,
+}
 
 
 def _check_csl_cubic(lo: int, hi: int, cache: ScanCache):
@@ -429,10 +415,10 @@ THEOREMS: dict[str, tuple[_Check, tuple[int, int] | None, str]] = {
     "rho1": (_check_rho1, (4, 7), "first-hit-on-guess-one count is strategy-independent and closed-form"),
     "der2ex": (_check_der2ex, (3, 8), "derangements solved in three guesses number 2^n - (2n+1)"),
     "rho3": (_check_rho3, (4, 6), "exactly one secret is first hit on guess three, for every cyclic strategy"),
-    "cs-rho2": (_check_cs_rho2, (4, 8), "right-shift first-hit-on-guess-two count is 2^n - 2n - 2"),
-    "best-rho2": (_check_best_rho2, (4, 7), "right shift uniquely maximizes the guess-two first-hit count (inductive)"),
-    "csl-rho2": (_check_csl_rho2, (4, 8), "left-shift-top guess-two first-hit count is L_n - n - 1"),
-    "worst-rho2": (_check_worst_rho2, (4, 7), "left-shift-top uniquely minimizes the guess-two first-hit count (inductive)"),
+    "cs-rho2": (partial(_check_rho2, **_CS_RHO2), (4, 8), "right-shift first-hit-on-guess-two count is 2^n - 2n - 2"),
+    "best-rho2": (partial(_check_rho2_extreme, pick=max, **_CS_RHO2), (4, 7), "right shift uniquely maximizes the guess-two first-hit count (inductive)"),
+    "csl-rho2": (partial(_check_rho2, **_CSL_RHO2), (4, 8), "left-shift-top guess-two first-hit count is L_n - n - 1"),
+    "worst-rho2": (partial(_check_rho2_extreme, pick=min, **_CSL_RHO2), (4, 7), "left-shift-top uniquely minimizes the guess-two first-hit count (inductive)"),
     "csl-cubic": (_check_csl_cubic, (3, 8), "left-shift-top cubic coefficient matches 1,7,51,263,1100,4093"),
     "conjecture-cubic-deranged": (_check_conjecture_cubic_deranged, (4, 5), "right shift maximizes the cubic coefficient over deranged strategies"),
     "avg-optimality": (_check_avg_optimality, None, "right shift minimizes the average guess count in every family"),

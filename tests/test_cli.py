@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,15 @@ def test_scan_parallel_output_is_byte_identical(capsys):
         "--jobs", "2",
     )
     assert serial == parallel
+
+
+def test_scan_default_jobs_follows_cpu_affinity():
+    args = cli.build_parser().parse_args(["scan", "--n", "4", "--class", "inductive"])
+    try:
+        expected = len(os.sched_getaffinity(0))
+    except AttributeError:
+        expected = os.cpu_count()
+    assert args.jobs == expected
 
 
 def test_scan_json_schema(capsys):

@@ -21,6 +21,13 @@ def test_feedback_examples():
         engine.feedback((1, 2), (1, 2, 3))
 
 
+def test_feedback_rejects_a_lone_disagreement():
+    # Equal lengths but not permutations of the same set: the invariant is
+    # an explicit check, so it also holds under python -O.
+    with pytest.raises(ValueError):
+        engine.feedback((1, 2, 3), (1, 2, 4))
+
+
 def test_feedback_never_misses_exactly_one():
     for guess in itertools.permutations(range(1, 5)):
         for secret in itertools.permutations(range(1, 5)):
@@ -98,11 +105,11 @@ def test_trace_invariants(n):
 
 
 def test_rho_examples():
-    assert engine.rho((1, 2, 3, 4), CS4) == 1
-    assert engine.rho((2, 1, 4, 3), CS4) == 2
-    assert engine.rho((3, 4, 1, 2), CS4) == 3
+    assert engine.play((1, 2, 3, 4), CS4).first_hit == 1
+    assert engine.play((2, 1, 4, 3), CS4).first_hit == 2
+    assert engine.play((3, 4, 1, 2), CS4).first_hit == 3
     # looped with every recorded correct set empty: no rho
-    assert engine.rho((3, 4, 1, 2), SWAP_TOP) is None
+    assert engine.play((3, 4, 1, 2), SWAP_TOP).first_hit is None
 
 
 def test_rho_on_looped_game_with_a_hit():
@@ -114,7 +121,7 @@ def test_rho_on_looped_game_with_a_hit():
     trace = engine.play((3, 4, 1, 2, 5), s)
     assert trace.status == "looped"
     assert trace.first_hit == 1
-    assert engine.rho((3, 4, 1, 2, 5), s) == 1
+    assert engine.play((3, 4, 1, 2, 5), s).first_hit == 1
 
 
 def test_relative_derangement():
@@ -128,6 +135,19 @@ def test_relative_derangement():
             assert perms.is_derangement(rel)
         else:
             assert p == perms.identity(5)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_successor_is_relative_derangement_of_composition(k):
+    """The one-step shortcut agrees with the unshortened route
+    rd(s o d) for every deranged component s and every d in D_k."""
+    pool = list(perms.enumerate_perms(k, "derangements"))
+    for s in pool:
+        guess = perms.invert(s)
+        for d in pool:
+            assert engine.successor(d, s, guess) == engine.relative_derangement(
+                perms.compose(s, d)
+            )
 
 
 def test_subgame_examples():
