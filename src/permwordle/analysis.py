@@ -11,7 +11,8 @@ Two independent routes produce a strategy's generating function:
 
 The two must agree everywhere; tests enforce it.  Scans use the
 decomposition with a memo shared across strategies that agree on component
-prefixes, which is what makes family-wide sweeps cheap.
+prefixes, which is what makes family-wide sweeps cheap, and evaluate only
+one strategy per rotation or mirror orbit (``_canonical``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -228,7 +229,11 @@ class ScanCostError(RuntimeError):
 
 
 def estimate_scan_cost(n: int, kind: str) -> int:
-    """Cost model: strategies in the family times derangements up to size n."""
+    """Cost model: strategies in the family times derangements up to size n.
+
+    It counts the whole family, so it is an upper bound on the work of a
+    scan, which evaluates only one strategy per symmetry orbit.
+    """
     per_strategy = sum(closedform.derangement_count(k) for k in range(2, n + 1))
     return strategies.count_strategies(n, kind) * max(per_strategy, 1)
 
@@ -283,20 +288,35 @@ def _summarize(rows: tuple[ScanRow, ...]) -> ScanSummary:
     )
 
 
-def _scan_range(n: int, kind: str, start: int, stop: int) -> list[ScanRow]:
-    memo = SubgameMemo()
-    stream = itertools.islice(strategies.enumerate_strategies(n, kind), start, stop)
-    rows = []
-    for index, strategy in enumerate(stream, start):
-        gf, rho = decomposition_stats(strategy, memo)
-        rows.append(
-            ScanRow(index, strategy.text, n, gf, average_guesses(gf), rho)
+def _canonical(strategy: Strategy, kind: str) -> tuple[Perm, ...]:
+    """Components of the representative of ``strategy``'s symmetry orbit,
+    whose members all share one generating function and first-hit split
+    (README "Reflection ties").
+
+    Inductive: the lower components plus the least of the n conjugates
+    r^j top r^-j of the top, with r the rotation i -> i+1 mod n.  Cyclic and
+    deranged: the lesser of the components and those of the mirror.  For
+    n >= 3 that is the one with s_3 = (2, 3, 1), so the representatives are
+    the first half of the enumeration.
+    """
+    comps = strategy.components
+    if kind == "inductive":
+        n, top = strategy.n, strategy.top
+        # r^j top r^-j sends i + j to top(i) + j, mod n.
+        conjugates = (
+            tuple((top[(i - j) % n] + j - 1) % n + 1 for i in range(n))
+            for j in range(n)
         )
-    return rows
+        return comps[:-1] + (min(conjugates),)
+    return min(comps, strategies.mirror(strategy).components)
 
 
-def _scan_worker(args: tuple[int, str, int, int]) -> list[ScanRow]:
-    return _scan_range(*args)
+def _evaluate(
+    reps: list[tuple[Perm, ...]],
+) -> list[tuple[GFCoefficients, dict[int, int]]]:
+    """Decomposition of each representative, with one memo for them all."""
+    memo = SubgameMemo()
+    return [decomposition_stats(Strategy(comps), memo) for comps in reps]
 
 
 def scan(
@@ -308,23 +328,37 @@ def scan(
 ) -> ScanResult:
     """One row per strategy in the family, in enumeration order, plus the
     extrema summary.  Oversized scans are refused up front with the work
-    estimate.  Workers own private memos and process contiguous index
-    ranges, so results are identical for any parallelism degree."""
+    estimate.
+
+    Only one strategy per symmetry orbit (``_canonical``) is evaluated;
+    every member's row is built from its representative's result.  Workers
+    own private memos and take contiguous runs of the representatives, so
+    results are identical for any parallelism degree."""
     estimate = estimate_scan_cost(n, kind)
     if estimate > max_cost:
         raise ScanCostError(n, kind, estimate, max_cost)
-    total = strategies.count_strategies(n, kind)
-    if jobs > 1 and total >= 4 * jobs:
-        bounds = []
-        step, extra = divmod(total, jobs)
-        lo = 0
-        for i in range(jobs):
-            hi = lo + step + (1 if i < extra else 0)
-            bounds.append((n, kind, lo, hi))
-            lo = hi
+    # A member keeps only its text and orbit number (orbits numbered in
+    # first-seen order), not its Strategy, so memory stays near the rows'.
+    orbits: dict[tuple[Perm, ...], int] = {}
+    family = [
+        (s.text, orbits.setdefault(_canonical(s, kind), len(orbits)))
+        for s in strategies.enumerate_strategies(n, kind)
+    ]
+    reps = list(orbits)
+    if jobs > 1 and len(reps) >= 4 * jobs:
+        bounds = [len(reps) * i // jobs for i in range(jobs + 1)]
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_scan_worker, bounds)
-        rows = tuple(itertools.chain.from_iterable(chunks))
+            chunks = pool.map(
+                _evaluate, [reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            )
+        stats = list(itertools.chain.from_iterable(chunks))
     else:
-        rows = tuple(_scan_range(n, kind, 0, total))
+        stats = _evaluate(reps)
+    averages = [average_guesses(gf) for gf, _ in stats]
+    # Orbit members share the frozen gf and its average; each row gets its
+    # own rho dict.
+    rows = tuple(
+        ScanRow(index, text, n, stats[orbit][0], averages[orbit], dict(stats[orbit][1]))
+        for index, (text, orbit) in enumerate(family)
+    )
     return ScanResult(n, kind, rows, _summarize(rows))

@@ -106,9 +106,7 @@ def rho1_closed_form(n: int) -> int:
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    square_terms = n * n + 5 * n
-    assert square_terms % 2 == 0
-    return 1 - 2 ** (n + 1) + 3**n + square_terms // 2 - n * 2**n
+    return 1 - 2 ** (n + 1) + 3**n + (n * n + 5 * n) // 2 - n * 2**n
 
 
 def rho1_binomial_sum(n: int) -> int:

@@ -12,6 +12,7 @@ safe to use from any number of threads or worker processes.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
@@ -123,8 +124,9 @@ def enumerate_perms(n: int, kind: str = "all") -> Iterator[Perm]:
     if kind == "all":
         yield from base
     elif kind == "derangements":
+        ident = range(1, n + 1)
         for p in base:
-            if all(v != i for i, v in enumerate(p, 1)):
+            if not any(map(operator.eq, p, ident)):
                 yield p
     elif kind == "cyclic":
         for p in base:

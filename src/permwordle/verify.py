@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import analysis, closedform, perms, strategies
 from .analysis import DEFAULT_MAX_COST, ScanResult
-from .engine import solve_rounds
+from .engine import SubgameMemo, solve_rounds
 
 
 def _json_safe(value):
@@ -403,6 +403,39 @@ def _check_avg_optimality(lo: int | None, hi: int | None, cache: ScanCache):
     return rows, (MIRROR_TIE_NOTE,)
 
 
+_SYMMETRY_FAMILIES = (("cyclic", 3, 5), ("deranged", 3, 5), ("inductive", 3, 7))
+
+
+def _check_scan_symmetry(lo: int | None, hi: int | None, cache: ScanCache):
+    """A scan evaluates one strategy per rotation (inductive) or mirror
+    (cyclic, deranged) orbit and builds the other rows from it; every row
+    must equal the one its own strategy's decomposition gives."""
+    rows = []
+    for family, fam_lo, fam_hi in _SYMMETRY_FAMILIES:
+        run_lo = fam_lo if lo is None else max(lo, fam_lo)
+        run_hi = fam_hi if hi is None else hi
+        for n in range(run_lo, run_hi + 1):
+            result = cache.scan(n, family)
+            members = list(strategies.enumerate_strategies(n, family))
+            memo = SubgameMemo()
+            bad = []
+            for index, (row, strategy) in enumerate(zip(result.rows, members)):
+                gf, rho = analysis.decomposition_stats(strategy, memo)
+                own = (index, strategy.text, gf, analysis.average_guesses(gf), rho)
+                if (row.index, row.strategy_id, row.gf, row.average, row.rho) != own:
+                    bad.append(strategy.text)
+            mismatches = len(bad) + abs(len(result.rows) - len(members))
+            observed = {
+                "strategies": len(members),
+                "evaluated": len({analysis._canonical(s, family) for s in members}),
+                "mismatches": mismatches,
+            }
+            if bad:
+                observed["first_counterexample"] = bad[0]
+            rows.append(_row(n, observed, {"mismatches": 0}, mismatches == 0, label=family))
+    return rows, ()
+
+
 _Check = Callable[..., tuple[list[dict], tuple[str, ...]]]
 
 # id -> (check, default range, one-line description).  A None range means
@@ -422,6 +455,7 @@ THEOREMS: dict[str, tuple[_Check, tuple[int, int] | None, str]] = {
     "csl-cubic": (_check_csl_cubic, (3, 8), "left-shift-top cubic coefficient matches 1,7,51,263,1100,4093"),
     "conjecture-cubic-deranged": (_check_conjecture_cubic_deranged, (4, 5), "right shift maximizes the cubic coefficient over deranged strategies"),
     "avg-optimality": (_check_avg_optimality, None, "right shift minimizes the average guess count in every family"),
+    "scan-symmetry": (_check_scan_symmetry, None, "scans that evaluate one strategy per rotation or mirror orbit equal per-strategy decomposition"),
 }
 
 

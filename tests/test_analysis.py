@@ -149,6 +149,52 @@ def test_scan_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "deranged"])
+def test_scan_parallel_matches_serial_over_mirror_orbits(kind):
+    serial = analysis.scan(5, kind, jobs=1)
+    parallel = analysis.scan(5, kind, jobs=2)
+    assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("inductive", n) for n in range(3, 8)]
+    + [(kind, n) for kind in ("cyclic", "deranged") for n in range(3, 6)],
+)
+def test_scan_rows_match_per_strategy_decomposition(kind, n):
+    """Scans evaluate one strategy per symmetry orbit; every row built from
+    a representative must equal the row of its own strategy."""
+    result = analysis.scan(n, kind)
+    memo = SubgameMemo()
+    expected = []
+    for index, s in enumerate(strategies.enumerate_strategies(n, kind)):
+        gf, rho = analysis.decomposition_stats(s, memo)
+        expected.append((index, s.text, gf, analysis.average_guesses(gf), rho))
+    observed = [
+        (row.index, row.strategy_id, row.gf, row.average, row.rho)
+        for row in result.rows
+    ]
+    assert observed == expected
+    assert len({id(row.rho) for row in result.rows}) == len(result.rows)
+
+
+@pytest.mark.parametrize(
+    "kind, n, calls", [("inductive", 6, 24), ("cyclic", 5, 144), ("deranged", 5, 396)]
+)
+def test_scan_decomposes_one_strategy_per_orbit(monkeypatch, kind, n, calls):
+    seen = []
+    decompose = analysis.decomposition_stats
+
+    def counting(strategy, memo=None):
+        seen.append(strategy.components)
+        return decompose(strategy, memo)
+
+    monkeypatch.setattr(analysis, "decomposition_stats", counting)
+    result = analysis.scan(n, kind, jobs=1)
+    assert len(seen) == len(set(seen)) == calls
+    assert len(result.rows) == strategies.count_strategies(n, kind)
+
+
 def test_scan_cost_refusal():
     estimate = analysis.estimate_scan_cost(7, "cyclic")
     assert estimate > 10**10  # the reference scale that motivated the guard

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -44,6 +45,13 @@ def test_rho1_closed_form():
     assert cf.rho1_closed_form(3) == 0
     assert cf.rho1_closed_form(4) == 4
     assert cf.rho1_closed_form(5) == 45
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_rho1_closed_form_equals_rational_formula(n):
+    half_terms = Fraction(n * n + 5 * n, 2)
+    exact = 1 - 2 ** (n + 1) + 3**n + half_terms - n * 2**n
+    assert cf.rho1_closed_form(n) == exact
 
 
 @pytest.mark.parametrize("n", range(3, 21))

@@ -119,6 +119,11 @@ def test_enumeration_counts_and_order(n):
     assert cyc == sorted(cyc)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_derangement_enumeration_equals_brute_filter(n):
+    assert list(perms.enumerate_perms(n, "derangements")) == brute_derangements(n)
+
+
 def test_enumerate_rejects_unknown_kind():
     with pytest.raises(ValueError):
         list(perms.enumerate_perms(3, "swaps"))

@@ -5,7 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from permwordle import strategies
+from permwordle import analysis, strategies
 from permwordle.verify import (
     SEQUENCE_NAMES,
     THEOREMS,
@@ -109,6 +109,39 @@ def test_linquad_small(cache):
         ("deranged", 3), ("deranged", 4),
         ("inductive", 3), ("inductive", 4),
     }
+    _validate_report(report)
+
+
+def test_scan_symmetry_small(cache):
+    report = verify("scan-symmetry", (3, 4), cache=cache)
+    assert report.status == "pass"
+    observed = {(row["label"], row["n"]): row["observed"] for row in report.rows}
+    assert observed == {
+        ("cyclic", 3): {"strategies": 2, "evaluated": 1, "mismatches": 0},
+        ("cyclic", 4): {"strategies": 12, "evaluated": 6, "mismatches": 0},
+        ("deranged", 3): {"strategies": 2, "evaluated": 1, "mismatches": 0},
+        ("deranged", 4): {"strategies": 18, "evaluated": 9, "mismatches": 0},
+        ("inductive", 3): {"strategies": 2, "evaluated": 2, "mismatches": 0},
+        ("inductive", 4): {"strategies": 6, "evaluated": 3, "mismatches": 0},
+    }
+    _validate_report(report)
+
+
+def test_scan_symmetry_fails_on_a_wrong_orbit_map(monkeypatch):
+    """Send every inductive top to the right shift: the copied rows then
+    disagree with per-strategy decomposition and the check must fail."""
+    canonical = analysis._canonical
+
+    def wrong(strategy, kind):
+        if kind == "inductive":
+            return strategies.cyclic_shift(strategy.n).components
+        return canonical(strategy, kind)
+
+    monkeypatch.setattr(analysis, "_canonical", wrong)
+    report = verify("scan-symmetry", (4, 5), cache=ScanCache(jobs=1))
+    assert report.status == "fail"
+    failed = {(row["label"], row["n"]) for row in report.rows if not row["ok"]}
+    assert failed == {("inductive", 4), ("inductive", 5)}
     _validate_report(report)
 
 
