@@ -50,12 +50,31 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout.
+
+    An unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) passes each
+    write straight to the raw file and drops whatever a short write leaves,
+    as when a signal interrupts a large write to a pipe.  A buffered writer
+    over the same raw file retries until every byte is written.
+    """
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    writer = io.BufferedWriter(raw)
+    writer.write(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    writer.flush()
+    writer.detach()  # leaves stdout open
+
+
 def _write_output(text: str, args) -> None:
     if not text.endswith("\n"):
         text += "\n"
     dest = getattr(args, "output", None)
     if dest is None or dest == "-":
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     path = Path(dest)
     if not path.is_absolute():

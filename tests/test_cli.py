@@ -1,5 +1,8 @@
+import argparse
+import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,6 +239,33 @@ def test_output_file_and_outdir_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "nested" / "out.json").exists()
+
+
+class _ShortWriteFile(io.RawIOBase):
+    """A raw file that takes at most 1000 bytes a write, as a pipe does
+    when a signal interrupts a large write."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        n = min(len(b), 1000)
+        self.data += bytes(b[:n])
+        return n
+
+
+def test_output_is_whole_on_unbuffered_stdout_with_short_writes(monkeypatch):
+    raw = _ShortWriteFile()
+    # What python -u or PYTHONUNBUFFERED gives: text written through to the raw file.
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    text = "1;2,1;2,3,1,4,0\n" * 5000
+    cli._write_output(text, argparse.Namespace(output=None))
+    stdout.flush()
+    assert raw.data == text.encode()
 
 
 def test_strategy_roundtrip_through_cli_format(capsys):
