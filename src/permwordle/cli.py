@@ -363,26 +363,15 @@ def build_table2() -> dict:
     cyclic top at length 4 (one of them is printed twice in the reference
     table and is marked), plus the four sampled tops at length 5."""
     rows = []
-    for top in perms.enumerate_perms(4, "cyclic"):
+    for top in (*perms.enumerate_perms(4, "cyclic"), *TABLE2_N5_TOPS):
         gf = analysis.generating_function(strategies.inductive(top))
         rows.append(
             {
-                "n": 4,
+                "n": len(top),
                 "top": perms.format_perm(top),
                 "coeffs": _coeffs_json(gf),
                 "poly": poly_string(gf),
                 "duplicate_in_reference": top == TABLE2_DUPLICATE_TOP,
-            }
-        )
-    for top in TABLE2_N5_TOPS:
-        gf = analysis.generating_function(strategies.inductive(top))
-        rows.append(
-            {
-                "n": 5,
-                "top": perms.format_perm(top),
-                "coeffs": _coeffs_json(gf),
-                "poly": poly_string(gf),
-                "duplicate_in_reference": False,
             }
         )
     return {"which": 2, "rows": rows}

@@ -133,6 +133,14 @@ def der2ex_count(n: int) -> int:
     return 2**n - 2 * n - 1
 
 
+def rho3_count(n: int) -> int:
+    """Secrets with no hit on either opening guess that are still solved on
+    guess three: exactly one for every cyclic strategy."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    return 1
+
+
 def cs_rho2_count(n: int) -> int:
     """Secrets whose first hit under cyclic shift comes on guess two of three."""
     if n < 4:

@@ -106,11 +106,6 @@ def excedance_count(p: Perm) -> int:
     return sum(1 for i, v in enumerate(p, 1) if v > i)
 
 
-def fixed_points(p: Perm) -> tuple[int, ...]:
-    """Positions i with p(i) = i, in increasing order."""
-    return tuple(i for i, v in enumerate(p, 1) if v == i)
-
-
 def enumerate_perms(n: int, kind: str = "all") -> Iterator[Perm]:
     """Yield permutations of {1..n} in lexicographic order.
 

@@ -139,8 +139,10 @@ AVERAGE_ERRATUM_NOTE = (
 def _check_prop_derange(lo: int, hi: int, cache: ScanCache):
     """Second-guess hit average over derangement secrets is n/(n-1) for
     every deranged component, checked component by component."""
+    if lo < 2:
+        raise ValueError(f"prop-derange needs n >= 2, got n={lo}")
     rows = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         d_n = closedform.derangement_count(n)
         expected_sum = n * (
             closedform.derangement_count(n - 1) + closedform.derangement_count(n - 2)
@@ -179,20 +181,27 @@ def _check_eq_derange_sum(lo: int, hi: int, cache: ScanCache):
     rows = []
     for n in range(lo, hi + 1):
         if n == 1:
-            observed = 0
+            observed = formula = 0
         else:
             delta = next(perms.enumerate_perms(n, "derangements"))
-            guess = perms.invert(delta)
-            observed = sum(
-                sum(1 for a, b in zip(guess, d) if a == b)
-                for d in perms.enumerate_perms(n, "derangements")
+            d_n = closedform.derangement_count(n)
+            observed = int(analysis.average_j2_over_derangements(delta) * d_n)
+            formula = n * (
+                closedform.derangement_count(n - 1) + closedform.derangement_count(n - 2)
             )
-        formula = n * (
-            closedform.derangement_count(n - 1) + closedform.derangement_count(n - 2)
-        ) if n >= 2 else 0
         expected = table.value(n) if n <= 8 else formula
         rows.append(_row(n, observed, expected, observed == expected == formula))
     return rows, ()
+
+
+def _family_ns(families, lo: int | None, hi: int | None):
+    """(family, n) over each family's default range, clipped below by lo
+    and replaced above by hi when a range is given."""
+    for family, fam_lo, fam_hi in families:
+        run_lo = fam_lo if lo is None else max(lo, fam_lo)
+        run_hi = fam_hi if hi is None else hi
+        for n in range(run_lo, run_hi + 1):
+            yield family, n
 
 
 _LINQUAD_FAMILIES = (("cyclic", 2, 6), ("deranged", 2, 5), ("inductive", 3, 8))
@@ -201,29 +210,20 @@ _LINQUAD_FAMILIES = (("cyclic", 2, 6), ("deranged", 2, 5), ("inductive", 3, 8))
 def _check_linquad(lo: int | None, hi: int | None, cache: ScanCache):
     """a_1 = 1 and a_2 = 2^n - n - 1 for every strategy in each family."""
     rows = []
-    for family, fam_lo, fam_hi in _LINQUAD_FAMILIES:
-        run_lo = fam_lo if lo is None else max(lo, fam_lo)
-        run_hi = fam_hi if hi is None else hi
-        for n in range(run_lo, run_hi + 1):
-            result = cache.scan(n, family)
-            a1 = {row.gf.coefficient(1) for row in result.rows}
-            a2 = {row.gf.coefficient(2) for row in result.rows}
-            expected = {"a1": 1, "a2": closedform.eulerian_second(n)}
-            ok = a1 == {1} and a2 == {expected["a2"]}
-            observed = {
-                "a1": a1,
-                "a2": a2,
-                "strategies_checked": len(result.rows),
-            }
-            if not ok:
-                bad = next(
-                    row.strategy_id
-                    for row in result.rows
-                    if row.gf.coefficient(1) != 1
-                    or row.gf.coefficient(2) != expected["a2"]
-                )
-                observed["first_counterexample"] = bad
-            rows.append(_row(n, observed, expected, ok, label=family))
+    for family, n in _family_ns(_LINQUAD_FAMILIES, lo, hi):
+        result = cache.scan(n, family)
+        a1 = {row.gf.coefficient(1) for row in result.rows}
+        a2 = {row.gf.coefficient(2) for row in result.rows}
+        expected = {"a1": 1, "a2": closedform.eulerian_second(n)}
+        ok = a1 == {1} and a2 == {expected["a2"]}
+        observed = {"a1": a1, "a2": a2, "strategies_checked": len(result.rows)}
+        if not ok:
+            observed["first_counterexample"] = next(
+                row.strategy_id
+                for row in result.rows
+                if row.gf.coefficient(1) != 1 or row.gf.coefficient(2) != expected["a2"]
+            )
+        rows.append(_row(n, observed, expected, ok, label=family))
     return rows, ()
 
 
@@ -254,23 +254,17 @@ def _check_eulerian_cs(lo: int, hi: int, cache: ScanCache):
     return rows, ()
 
 
-def _check_rho1(lo: int, hi: int, cache: ScanCache):
-    """The first-hit-on-guess-one count is the same for every inductive
-    strategy and matches both closed forms."""
+def _check_scan_value(lo: int, hi: int, cache: ScanCache, *, family, index, forms):
+    """Every strategy of ``family`` has the same ``rho[index]``, equal to
+    each closed form in ``forms``."""
     rows = []
     for n in range(lo, hi + 1):
-        result = cache.scan(n, "inductive")
-        values = {row.rho[1] for row in result.rows}
-        expected = closedform.rho1_closed_form(n)
-        ok = values == {expected} and expected == closedform.rho1_binomial_sum(n)
-        rows.append(
-            _row(
-                n,
-                {"values": values, "strategies_checked": len(result.rows)},
-                expected,
-                ok,
-            )
-        )
+        expected = forms[0](n)
+        result = cache.scan(n, family)
+        values = {row.rho[index] for row in result.rows}
+        ok = values == {expected} and all(form(n) == expected for form in forms)
+        observed = {"values": values, "strategies_checked": len(result.rows)}
+        rows.append(_row(n, observed, expected, ok))
     return rows, ()
 
 
@@ -283,24 +277,6 @@ def _check_der2ex(lo: int, hi: int, cache: ScanCache):
         observed = rho[2] + rho[3]  # derangements with subgame value 2
         expected = closedform.der2ex_count(n)
         rows.append(_row(n, observed, expected, observed == expected))
-    return rows, ()
-
-
-def _check_rho3(lo: int, hi: int, cache: ScanCache):
-    """Exactly one secret keeps both opening guesses fully wrong and is
-    still solved on guess three, for every cyclic strategy."""
-    rows = []
-    for n in range(lo, hi + 1):
-        result = cache.scan(n, "cyclic")
-        values = {row.rho[3] for row in result.rows}
-        rows.append(
-            _row(
-                n,
-                {"values": values, "strategies_checked": len(result.rows)},
-                1,
-                values == {1},
-            )
-        )
     return rows, ()
 
 
@@ -383,23 +359,15 @@ def _check_avg_optimality(lo: int | None, hi: int | None, cache: ScanCache):
     coincide) it is shared with exactly the reflection conjugate.
     """
     rows = []
-    for family, fam_lo, fam_hi in _AVG_FAMILIES:
-        run_lo = fam_lo if lo is None else max(lo, fam_lo)
-        run_hi = fam_hi if hi is None else hi
-        for n in range(run_lo, run_hi + 1):
-            result = cache.scan(n, family)
-            best = result.summary.min_average
-            if family == "inductive" and n >= 4:
-                expected_ids = [_cs_id(n)]
-            else:
-                expected_ids = sorted((_cs_id(n), _mirror_cs_id(n)))
-            observed = {
-                "min_average": best.value,
-                "strategies": sorted(best.strategy_ids),
-            }
-            expected = {"strategies": expected_ids}
-            ok = sorted(best.strategy_ids) == expected_ids
-            rows.append(_row(n, observed, expected, ok, label=family))
+    for family, n in _family_ns(_AVG_FAMILIES, lo, hi):
+        best = cache.scan(n, family).summary.min_average
+        if family == "inductive" and n >= 4:
+            expected_ids = [_cs_id(n)]
+        else:
+            expected_ids = sorted((_cs_id(n), _mirror_cs_id(n)))
+        observed = {"min_average": best.value, "strategies": sorted(best.strategy_ids)}
+        ok = sorted(best.strategy_ids) == expected_ids
+        rows.append(_row(n, observed, {"strategies": expected_ids}, ok, label=family))
     return rows, (MIRROR_TIE_NOTE,)
 
 
@@ -411,28 +379,25 @@ def _check_scan_symmetry(lo: int | None, hi: int | None, cache: ScanCache):
     (cyclic, deranged) orbit and builds the other rows from it; every row
     must equal the one its own strategy's decomposition gives."""
     rows = []
-    for family, fam_lo, fam_hi in _SYMMETRY_FAMILIES:
-        run_lo = fam_lo if lo is None else max(lo, fam_lo)
-        run_hi = fam_hi if hi is None else hi
-        for n in range(run_lo, run_hi + 1):
-            result = cache.scan(n, family)
-            members = list(strategies.enumerate_strategies(n, family))
-            memo = SubgameMemo()
-            bad = []
-            for index, (row, strategy) in enumerate(zip(result.rows, members)):
-                gf, rho = analysis.decomposition_stats(strategy, memo)
-                own = (index, strategy.text, gf, analysis.average_guesses(gf), rho)
-                if (row.index, row.strategy_id, row.gf, row.average, row.rho) != own:
-                    bad.append(strategy.text)
-            mismatches = len(bad) + abs(len(result.rows) - len(members))
-            observed = {
-                "strategies": len(members),
-                "evaluated": len({analysis._canonical(s, family) for s in members}),
-                "mismatches": mismatches,
-            }
-            if bad:
-                observed["first_counterexample"] = bad[0]
-            rows.append(_row(n, observed, {"mismatches": 0}, mismatches == 0, label=family))
+    for family, n in _family_ns(_SYMMETRY_FAMILIES, lo, hi):
+        result = cache.scan(n, family)
+        members = list(strategies.enumerate_strategies(n, family))
+        memo = SubgameMemo()
+        bad = []
+        for index, (row, strategy) in enumerate(zip(result.rows, members)):
+            gf, rho = analysis.decomposition_stats(strategy, memo)
+            own = (index, strategy.text, gf, analysis.average_guesses(gf), rho)
+            if (row.index, row.strategy_id, row.gf, row.average, row.rho) != own:
+                bad.append(strategy.text)
+        mismatches = len(bad) + abs(len(result.rows) - len(members))
+        observed = {
+            "strategies": len(members),
+            "evaluated": len({analysis._canonical(s, family) for s in members}),
+            "mismatches": mismatches,
+        }
+        if bad:
+            observed["first_counterexample"] = bad[0]
+        rows.append(_row(n, observed, {"mismatches": 0}, mismatches == 0, label=family))
     return rows, ()
 
 
@@ -445,9 +410,9 @@ THEOREMS: dict[str, tuple[_Check, tuple[int, int] | None, str]] = {
     "eq-derange-sum": (_check_eq_derange_sum, (1, 8), "sum of second-guess hits over derangements matches 0,2,3,12,55,..."),
     "linquad": (_check_linquad, None, "a_1 = 1 and a_2 = 2^n - n - 1 over entire strategy families"),
     "eulerian-cs": (_check_eulerian_cs, (1, 8), "right-shift guess counts follow the Eulerian numbers (full playback)"),
-    "rho1": (_check_rho1, (4, 7), "first-hit-on-guess-one count is strategy-independent and closed-form"),
+    "rho1": (partial(_check_scan_value, family="inductive", index=1, forms=(closedform.rho1_closed_form, closedform.rho1_binomial_sum)), (4, 7), "first-hit-on-guess-one count is strategy-independent and closed-form"),
     "der2ex": (_check_der2ex, (3, 8), "derangements solved in three guesses number 2^n - (2n+1)"),
-    "rho3": (_check_rho3, (4, 6), "exactly one secret is first hit on guess three, for every cyclic strategy"),
+    "rho3": (partial(_check_scan_value, family="cyclic", index=3, forms=(closedform.rho3_count,)), (4, 6), "exactly one secret is first hit on guess three, for every cyclic strategy"),
     "cs-rho2": (partial(_check_rho2, **_CS_RHO2), (4, 8), "right-shift first-hit-on-guess-two count is 2^n - 2n - 2"),
     "best-rho2": (partial(_check_rho2_extreme, pick=max, **_CS_RHO2), (4, 7), "right shift uniquely maximizes the guess-two first-hit count (inductive)"),
     "csl-rho2": (partial(_check_rho2, **_CSL_RHO2), (4, 8), "left-shift-top guess-two first-hit count is L_n - n - 1"),
@@ -457,6 +422,51 @@ THEOREMS: dict[str, tuple[_Check, tuple[int, int] | None, str]] = {
     "avg-optimality": (_check_avg_optimality, None, "right shift minimizes the average guess count in every family"),
     "scan-symmetry": (_check_scan_symmetry, None, "scans that evaluate one strategy per rotation or mirror orbit equal per-strategy decomposition"),
 }
+
+
+def _check_rho1_prefix(lo: int, hi: int, cache: ScanCache):
+    """Right-shift guess-one first-hit count by playback, against the
+    binomial sum and the reference prefix 0, 4, 45."""
+    rows = []
+    for n in range(lo, hi + 1):
+        binom = closedform.rho1_binomial_sum(n)
+        brute = analysis.rho_class_counts(strategies.cyclic_shift(n))[1]
+        expected = closedform.RHO1_PREFIX.value(n)
+        ok = binom == brute == expected
+        rows.append(_row(n, {"binomial_sum": binom, "playback": brute}, expected, ok))
+    return rows, ()
+
+
+# name -> (check, range): each reference sequence of closedform, regenerated
+# over the n its table stores.
+SEQUENCES: dict[str, tuple[_Check, tuple[int, int]]] = {
+    "A284843": (_check_eq_derange_sum, (1, 8)),
+    "csl-cubic": (_check_csl_cubic, (3, 8)),
+    "A385588-prefix": (_check_rho1_prefix, (3, 5)),
+}
+SEQUENCE_NAMES = tuple(closedform.REFERENCE_SEQUENCES)
+
+
+def _run(
+    name: str, check: _Check, lo: int | None, hi: int | None, cache: ScanCache
+) -> VerificationReport:
+    """Time one check over lo..hi (None: the check's per-family defaults)
+    and build its report.  A range that gives no rows is refused."""
+    started = time.perf_counter()
+    rows, notes = check(lo, hi, cache)
+    seconds = time.perf_counter() - started
+    if not rows:
+        raise ValueError(f"{name} checks no n in range {lo}..{hi}")
+    if not all(row["ok"] for row in rows):
+        status = "fail"
+    elif AVERAGE_ERRATUM_NOTE in notes:
+        status = "erratum-noted"
+    else:
+        status = "pass"
+    if lo is None:
+        lo = min(row["n"] for row in rows)
+        hi = max(row["n"] for row in rows)
+    return VerificationReport(name, (lo, hi), rows, status, seconds, notes)
 
 
 def verify(
@@ -473,65 +483,20 @@ def verify(
         known = ", ".join(sorted(THEOREMS))
         raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {known}")
     check, default_range, _ = THEOREMS[theorem_id]
-    if cache is None:
-        cache = ScanCache(jobs=jobs, max_cost=max_cost)
     if n_range is None:
         lo, hi = default_range if default_range is not None else (None, None)
     else:
         lo, hi = n_range
         if lo > hi:
             raise ValueError(f"empty range {lo}..{hi}")
-    started = time.perf_counter()
-    rows, notes = check(lo, hi, cache)
-    seconds = time.perf_counter() - started
-    all_ok = all(row["ok"] for row in rows)
-    if not all_ok:
-        status = "fail"
-    elif theorem_id == "prop-derange":
-        status = "erratum-noted"
-    else:
-        status = "pass"
-    if lo is None:
-        lo = min(row["n"] for row in rows)
-        hi = max(row["n"] for row in rows)
-    return VerificationReport(theorem_id, (lo, hi), rows, status, seconds, notes)
-
-
-SEQUENCE_NAMES = ("A284843", "csl-cubic", "A385588-prefix")
+    return _run(theorem_id, check, lo, hi, cache or ScanCache(jobs=jobs, max_cost=max_cost))
 
 
 def check_sequence(name: str, *, cache: ScanCache | None = None) -> VerificationReport:
     """Regenerate a reference sequence from first principles and compare it
     to the hardcoded table."""
-    if cache is None:
-        cache = ScanCache()
-    started = time.perf_counter()
-    rows: list[dict] = []
-    notes: tuple[str, ...] = ()
-    if name == "A284843":
-        lo, hi = 1, 8
-        rows, _ = _check_eq_derange_sum(lo, hi, cache)
-    elif name == "csl-cubic":
-        table = closedform.CSL_CUBIC_SEQUENCE
-        lo, hi = 3, 8
-        for n in range(lo, hi + 1):
-            brute = analysis.generating_function(
-                strategies.cyclic_shift_left_top(n)
-            ).coefficient(3)
-            expected = table.value(n)
-            rows.append(_row(n, brute, expected, brute == expected))
-    elif name == "A385588-prefix":
-        table = closedform.RHO1_PREFIX
-        lo, hi = 3, 5
-        for n in range(lo, hi + 1):
-            binom = closedform.rho1_binomial_sum(n)
-            brute = analysis.rho_class_counts(strategies.cyclic_shift(n))[1]
-            expected = table.value(n)
-            ok = binom == brute == expected
-            rows.append(_row(n, {"binomial_sum": binom, "playback": brute}, expected, ok))
-    else:
+    if name not in SEQUENCES:
         known = ", ".join(SEQUENCE_NAMES)
         raise ValueError(f"unknown sequence {name!r}; known names: {known}")
-    seconds = time.perf_counter() - started
-    status = "pass" if all(row["ok"] for row in rows) else "fail"
-    return VerificationReport(name, (lo, hi), rows, status, seconds, notes)
+    check, (lo, hi) = SEQUENCES[name]
+    return _run(name, check, lo, hi, cache or ScanCache())

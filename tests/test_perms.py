@@ -95,11 +95,6 @@ def test_excedance_count():
     assert perms.excedance_count((4, 1, 2, 3)) == 1
 
 
-def test_fixed_points():
-    assert perms.fixed_points((1, 3, 2, 4)) == (1, 4)
-    assert perms.fixed_points((2, 1)) == ()
-
-
 def test_enumerate_derangements_4_matches_known_rows():
     assert list(perms.enumerate_perms(4, "derangements")) == D4
 

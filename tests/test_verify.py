@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from permwordle import analysis, strategies
+from permwordle import analysis, cli, strategies
 from permwordle.verify import (
     SEQUENCE_NAMES,
     THEOREMS,
@@ -14,7 +15,8 @@ from permwordle.verify import (
     verify,
 )
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "docs" / "schemas"
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,27 @@ def test_unknown_id_and_bad_range():
         verify("csl-cubic", (5, 3))
     with pytest.raises(ValueError, match="unknown sequence"):
         check_sequence("A000001")
+
+
+@pytest.mark.parametrize(
+    "theorem_id, n_range",
+    [("linquad", (1, 1)), ("avg-optimality", (2, 2)), ("scan-symmetry", (1, 2))],
+)
+def test_range_outside_every_family_is_refused(theorem_id, n_range, capsys):
+    with pytest.raises(ValueError, match="checks no n"):
+        verify(theorem_id, n_range)
+    lo, hi = n_range
+    argv = ["verify", "--id", theorem_id, "--min", str(lo), "--max", str(hi)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "theorem_id, n_range", [("rho3", (2, 3)), ("prop-derange", (1, 2))]
+)
+def test_n_below_the_domain_is_refused(theorem_id, n_range):
+    with pytest.raises(ValueError, match="n >= 2|at least 3"):
+        verify(theorem_id, n_range)
 
 
 def test_range_above_cost_guard_is_refused():
@@ -202,3 +225,34 @@ def test_to_text_contains_rows(cache):
     report = verify("cs-rho2", (4, 5), cache=cache)
     text = report.to_text()
     assert "cs-rho2" in text and "n=4" in text and "PASS" in text
+
+
+# One compact JSON report per line, "seconds" left out: every verify id at a
+# small range, plus the sequences that are not also verify ids.
+_PINNED_LINES = (ROOT / "tests" / "verify_reports.jsonl").read_text().splitlines()
+PINNED_REPORTS = {report["id"]: report for report in map(json.loads, _PINNED_LINES)}
+
+
+@pytest.mark.parametrize("name", [*THEOREMS, "A284843", "A385588-prefix"])
+def test_report_json_is_pinned(name, cache):
+    pinned = PINNED_REPORTS[name]
+    if name in THEOREMS:
+        report = verify(name, tuple(pinned["range"]), cache=cache)
+    else:
+        report = check_sequence(name, cache=cache)
+    payload = report.to_json_dict()
+    del payload["seconds"]
+    assert json.dumps(payload) == json.dumps(pinned)
+
+
+def _readme_table_names(heading):
+    """Backquoted names in the first column of the table under ``heading``."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split(f"\n## {heading}\n")[1].split("\n## ")[0]
+    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    return {name for cell in cells for name in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_readme_lists_every_check_and_sequence():
+    assert _readme_table_names("Verification checks") == set(THEOREMS)
+    assert _readme_table_names("Reference sequences") == set(SEQUENCE_NAMES)
