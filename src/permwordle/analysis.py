@@ -161,14 +161,10 @@ def gf_playback(strategy: Strategy) -> GFCoefficients:
     return GFCoefficients(n, coeffs, loops)
 
 
-def generating_function(
-    strategy: Strategy,
-    method: str = "decomposition",
-    memo: SubgameMemo | None = None,
-) -> GFCoefficients:
+def generating_function(strategy: Strategy, method: str = "decomposition") -> GFCoefficients:
     """Generating function by either route; the routes must agree."""
     if method == "decomposition":
-        return decomposition_stats(strategy, memo)[0]
+        return decomposition_stats(strategy)[0]
     if method == "playback":
         return gf_playback(strategy)
     raise ValueError(f"unknown method {method!r}")
@@ -236,6 +232,13 @@ def estimate_scan_cost(n: int, kind: str) -> int:
     """
     per_strategy = sum(closedform.derangement_count(k) for k in range(2, n + 1))
     return strategies.count_strategies(n, kind) * max(per_strategy, 1)
+
+
+def check_scan_cost(n: int, kind: str, max_cost: int) -> None:
+    """Refuse a scan whose estimated work exceeds ``max_cost``."""
+    estimate = estimate_scan_cost(n, kind)
+    if estimate > max_cost:
+        raise ScanCostError(n, kind, estimate, max_cost)
 
 
 @dataclass(frozen=True)
@@ -334,9 +337,7 @@ def scan(
     every member's row is built from its representative's result.  Workers
     own private memos and take contiguous runs of the representatives, so
     results are identical for any parallelism degree."""
-    estimate = estimate_scan_cost(n, kind)
-    if estimate > max_cost:
-        raise ScanCostError(n, kind, estimate, max_cost)
+    check_scan_cost(n, kind, max_cost)
     # A member keeps only its text and orbit number (orbits numbered in
     # first-seen order), not its Strategy, so memory stays near the rows'.
     orbits: dict[tuple[Perm, ...], int] = {}

@@ -322,16 +322,12 @@ def cmd_verify(args) -> int:
     if (args.min is None) != (args.max is None):
         raise ValueError("--min and --max must be given together")
     n_range = None if args.min is None else (args.min, args.max)
-    report = run_verify(
-        args.id, n_range, jobs=args.jobs, max_cost=args.max_cost
-    )
-    return _report_out(report, args)
+    cache = ScanCache(jobs=args.jobs, max_cost=args.max_cost)
+    return _report_out(run_verify(args.id, n_range, cache=cache), args)
 
 
 def cmd_sequence(args) -> int:
-    cache = ScanCache(jobs=args.jobs, max_cost=args.max_cost)
-    report = check_sequence(args.name, cache=cache)
-    return _report_out(report, args)
+    return _report_out(check_sequence(args.name), args)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sequence", help="regenerate a reference sequence and compare")
     p.add_argument("--name", required=True, choices=list(SEQUENCE_NAMES))
-    _add_work_flags(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_sequence)
 

@@ -17,8 +17,6 @@ from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
-PERM_KINDS = ("all", "derangements", "cyclic")
-
 
 def validate(entries: Iterable[int]) -> Perm:
     """Check that ``entries`` is a bijection on {1..n} and return it as a tuple.

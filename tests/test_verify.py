@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -63,8 +64,24 @@ def test_range_above_cost_guard_is_refused():
     from permwordle.analysis import ScanCostError
 
     with pytest.raises(ScanCostError) as info:
-        verify("avg-optimality", (3, 7), max_cost=1000)
+        verify("avg-optimality", (3, 7), cache=ScanCache(max_cost=1000))
     assert info.value.estimate > 1000
+
+
+def test_range_above_cost_guard_is_refused_before_any_scan(monkeypatch):
+    """Every scan a range needs is priced before the first one runs, so an
+    over-limit n refuses the range without scanning the n below it."""
+    scan = analysis.scan
+    scanned = []
+
+    def recorder(n, kind, **kwargs):
+        scanned.append((n, kind))
+        return scan(n, kind, **kwargs)
+
+    monkeypatch.setattr(analysis, "scan", recorder)
+    with pytest.raises(analysis.ScanCostError):
+        verify("avg-optimality", (3, 7), cache=ScanCache(max_cost=1000))
+    assert scanned == []
 
 
 def test_csl_cubic_report(cache):
@@ -198,8 +215,8 @@ def test_der2ex_and_rho2_counts(cache):
 
 
 @pytest.mark.parametrize("name", SEQUENCE_NAMES)
-def test_check_sequence(name, cache):
-    report = check_sequence(name, cache=cache)
+def test_check_sequence(name):
+    report = check_sequence(name)
     assert report.status == "pass"
     _validate_report(report)
 
@@ -213,11 +230,12 @@ def test_reports_are_deterministic(cache):
 
 
 def test_every_registered_id_has_default_range_or_families():
-    for theorem_id, (check, default_range, description) in THEOREMS.items():
-        assert description
-        assert callable(check)
-        if default_range is not None:
-            lo, hi = default_range
+    for theorem_id, check in THEOREMS.items():
+        assert check.description
+        assert callable(check.row)
+        assert (check.range is None) != (not check.families)
+        if check.range is not None:
+            lo, hi = check.range
             assert lo <= hi
 
 
@@ -239,7 +257,7 @@ def test_report_json_is_pinned(name, cache):
     if name in THEOREMS:
         report = verify(name, tuple(pinned["range"]), cache=cache)
     else:
-        report = check_sequence(name, cache=cache)
+        report = check_sequence(name)
     payload = report.to_json_dict()
     del payload["seconds"]
     assert json.dumps(payload) == json.dumps(pinned)
@@ -256,3 +274,27 @@ def _readme_table_names(heading):
 def test_readme_lists_every_check_and_sequence():
     assert _readme_table_names("Verification checks") == set(THEOREMS)
     assert _readme_table_names("Reference sequences") == set(SEQUENCE_NAMES)
+
+
+def _readme_commands():
+    """``permwordle ...`` lines of the README's fenced blocks and inline
+    code spans; a ``...`` marks a placeholder, not a runnable example."""
+    parts = (ROOT / "README.md").read_text().split("```")
+    fenced = [line for block in parts[1::2] for line in block.splitlines()]
+    inline = [code for prose in parts[::2] for code in re.findall(r"`([^`\n]+)`", prose)]
+    return [
+        command
+        for command in fenced + inline
+        if command.startswith("permwordle ") and "..." not in command
+    ]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_commands()
+    assert commands
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
