@@ -16,7 +16,6 @@ from .analysis import (
     average_guesses,
     average_j2_over_derangements,
     generating_function,
-    rho_class_counts,
     scan,
 )
 from .engine import (
@@ -74,7 +73,6 @@ __all__ = [
     "parse_strategy",
     "play",
     "relative_derangement",
-    "rho_class_counts",
     "scan",
     "solve_rounds",
     "subgame_guesses",

@@ -1,7 +1,8 @@
 """Strategy performance measures: generating functions, averages, first-hit
 classes, and exhaustive scans over strategy families.
 
-Two independent routes produce a strategy's generating function:
+Two independent routes produce a strategy's generating function and its
+first-hit-class counts, each as one (gf, rho) pair from one pass:
 
 * direct playback of all n! secrets (``gf_playback``), and
 * the subgame decomposition (``decomposition_stats``): a secret with k
@@ -9,7 +10,7 @@ Two independent routes produce a strategy's generating function:
   the count of secrets solved in 1 + t guesses is
   sum over k of C(n, k) * #{d in D_k : T(d) = t}.
 
-The two must agree everywhere; tests enforce it.  Scans use the
+The two pairs must agree everywhere; tests enforce it.  Scans use the
 decomposition with a memo shared across strategies that agree on component
 prefixes, which is what makes family-wide sweeps cheap, and evaluate only
 one strategy per rotation or mirror orbit (``_canonical``).
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import comb, factorial, inf
 
 from . import closedform, perms, strategies
-from .engine import LOOPED, SubgameMemo, _chase, play, solve_rounds, successor
+from .engine import LOOPED, SubgameMemo, _chase, solve_rounds, successor
 from .perms import Perm
 from .strategies import Strategy
 
@@ -147,18 +148,22 @@ def decomposition_stats(
     return gf, {1: rho1, 2: rho2, 3: no_lock}
 
 
-def gf_playback(strategy: Strategy) -> GFCoefficients:
-    """Generating function by playing out every one of the n! secrets."""
+def gf_playback(strategy: Strategy) -> tuple[GFCoefficients, dict[int, int]]:
+    """Generating function and first-hit-class counts, as from
+    ``decomposition_stats``, by playing out every one of the n! secrets."""
     n = strategy.n
     coeffs: dict[int, int] = {}
     loops = 0
+    rho = {1: 0, 2: 0, 3: 0}
     for secret in perms.enumerate_perms(n):
-        r = solve_rounds(secret, strategy)
+        r, first_hit = solve_rounds(secret, strategy)
         if r == LOOPED:
             loops += 1
         else:
             coeffs[r] = coeffs.get(r, 0) + 1
-    return GFCoefficients(n, coeffs, loops)
+            if r == 3:
+                rho[first_hit] += 1
+    return GFCoefficients(n, coeffs, loops), rho
 
 
 def generating_function(strategy: Strategy, method: str = "decomposition") -> GFCoefficients:
@@ -166,7 +171,7 @@ def generating_function(strategy: Strategy, method: str = "decomposition") -> GF
     if method == "decomposition":
         return decomposition_stats(strategy)[0]
     if method == "playback":
-        return gf_playback(strategy)
+        return gf_playback(strategy)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -176,20 +181,6 @@ def average_guesses(gf: GFCoefficients) -> Fraction | float:
         return inf
     weighted = sum(r * a for r, a in gf.coeffs.items())
     return Fraction(weighted, factorial(gf.n))
-
-
-def rho_class_counts(strategy: Strategy) -> dict[int, int]:
-    """Secrets solved in exactly three guesses, split by the round of the
-    first non-empty correct set.  Computed by direct playback of all n!
-    secrets; scans compute the same split through the decomposition."""
-    if strategy.n < 3:
-        raise ValueError("first-hit classes need strategies of length >= 3")
-    counts = {1: 0, 2: 0, 3: 0}
-    for secret in perms.enumerate_perms(strategy.n):
-        trace = play(secret, strategy)
-        if trace.solved and trace.rounds == 3:
-            counts[trace.first_hit] += 1
-    return counts
 
 
 def average_j2_over_derangements(component: Perm) -> Fraction:

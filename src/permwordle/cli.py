@@ -438,12 +438,19 @@ def _default_jobs() -> int:
         return os.cpu_count() or 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _add_work_flags(p) -> None:
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=_default_jobs(),
-        help="worker processes for scans (results are identical for any value)",
+        help="worker processes for scans, a positive integer "
+        "(results are identical for any value)",
     )
     p.add_argument(
         "--max-cost",

@@ -72,7 +72,7 @@ class GameTrace:
     """Full record of one game: guesses, per-round correct sets, outcome.
 
     ``status`` is "solved" or "looped".  A looped trace ends with the first
-    repeated (guess, correct-set) state, so the repetition is visible.
+    repeated guess, so the repetition is visible.
     """
 
     secret: Perm
@@ -98,54 +98,47 @@ class GameTrace:
         return None
 
 
-def play(secret: Perm, strategy: Strategy) -> GameTrace:
-    """Play a full game from the identity guess until solved or looping.
-
-    A repeat of the (guess, correct-set) state proves the deterministic
-    process can never solve; the repeated guess is kept in the trace.
-    """
-    secret = tuple(secret)
+def _game(secret: Perm, strategy: Strategy) -> tuple[list[Perm], int | None, bool]:
+    """The guesses, the round of the first non-empty correct set (or None),
+    and whether the game was solved.  For a fixed secret the correct set is
+    a function of the guess, so a repeated guess (the last one returned)
+    proves the deterministic process can never solve."""
     n = len(secret)
     if n != strategy.n:
         raise ValueError(
             f"secret length {n} differs from strategy length {strategy.n}"
         )
     guesses: list[Perm] = []
-    sets: list[frozenset[int]] = []
-    seen: set[tuple[Perm, frozenset[int]]] = set()
+    seen: set[Perm] = set()
+    first_hit = None
     current = perms.identity(n)
     while True:
         hits = feedback(current, secret)
         guesses.append(current)
-        sets.append(hits)
+        if first_hit is None and hits:
+            first_hit = len(guesses)
         if len(hits) == n:
-            status = "solved"
-            break
-        state = (current, hits)
-        if state in seen:
-            status = "looped"
-            break
-        seen.add(state)
+            return guesses, first_hit, True
+        if current in seen:
+            return guesses, first_hit, False
+        seen.add(current)
         current = next_guess(current, hits, strategy)
-    return GameTrace(secret, tuple(guesses), tuple(sets), status)
 
 
-def solve_rounds(secret: Perm, strategy: Strategy) -> int | float:
-    """Guess count for a full game, or LOOPED; no trace is materialized."""
-    n = len(secret)
-    rounds = 0
-    seen: set[tuple[Perm, frozenset[int]]] = set()
-    current = perms.identity(n)
-    while True:
-        hits = feedback(current, secret)
-        rounds += 1
-        if len(hits) == n:
-            return rounds
-        state = (current, hits)
-        if state in seen:
-            return LOOPED
-        seen.add(state)
-        current = next_guess(current, hits, strategy)
+def play(secret: Perm, strategy: Strategy) -> GameTrace:
+    """Play a full game from the identity guess until solved or a guess
+    repeats, keeping every guess and correct set (the traced oracle)."""
+    secret = tuple(secret)
+    guesses, _, solved = _game(secret, strategy)
+    sets = tuple(feedback(guess, secret) for guess in guesses)
+    return GameTrace(secret, tuple(guesses), sets, "solved" if solved else "looped")
+
+
+def solve_rounds(secret: Perm, strategy: Strategy) -> tuple[int | float, int | None]:
+    """(Guess count or LOOPED, round of the first hit or None) for a full
+    game; no trace is materialized."""
+    guesses, first_hit, solved = _game(secret, strategy)
+    return (len(guesses) if solved else LOOPED), first_hit
 
 
 def relative_derangement(p: Perm) -> Perm:

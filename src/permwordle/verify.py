@@ -208,7 +208,7 @@ def _eulerian_cs_row(n: int):
     law_breaks = 0
     first_bad = None
     for secret in perms.enumerate_perms(n):
-        r = solve_rounds(secret, cs)
+        r, _ = solve_rounds(secret, cs)
         coeffs[r] = coeffs.get(r, 0) + 1
         if r != perms.excedance_count(secret) + 1:
             law_breaks += 1
@@ -334,7 +334,7 @@ def _rho1_prefix_row(n: int):
     """Right-shift guess-one first-hit count by playback, against the
     binomial sum and the reference prefix 0, 4, 45."""
     binom = closedform.rho1_binomial_sum(n)
-    brute = analysis.rho_class_counts(strategies.cyclic_shift(n))[1]
+    brute = analysis.gf_playback(strategies.cyclic_shift(n))[1][1]
     expected = closedform.RHO1_PREFIX.value(n)
     return {"binomial_sum": binom, "playback": brute}, expected, binom == brute == expected
 

@@ -66,18 +66,15 @@ def test_average_guesses():
 
 
 def test_rho_class_counts():
-    assert analysis.rho_class_counts(CS4) == {1: 4, 2: 6, 3: 1}
-    assert analysis.rho_class_counts(CSL4) == {1: 4, 2: 2, 3: 1}
-    assert analysis.rho_class_counts(CS5) == {1: 45, 2: 20, 3: 1}
-    with pytest.raises(ValueError):
-        analysis.rho_class_counts(strategies.cyclic_shift(2))
+    assert analysis.gf_playback(CS4)[1] == {1: 4, 2: 6, 3: 1}
+    assert analysis.gf_playback(CSL4)[1] == {1: 4, 2: 2, 3: 1}
+    assert analysis.gf_playback(CS5)[1] == {1: 45, 2: 20, 3: 1}
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rho_counts_playback_matches_decomposition(n):
     for s in strategies.enumerate_strategies(n, "deranged"):
-        _, rho = analysis.decomposition_stats(s)
-        assert rho == analysis.rho_class_counts(s)
+        assert analysis.decomposition_stats(s) == analysis.gf_playback(s)
 
 
 def test_rho_counts_sum_to_a3():

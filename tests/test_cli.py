@@ -134,6 +134,21 @@ def test_scan_default_jobs_follows_cpu_affinity():
     assert args.jobs == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--n", "4", "--class", "inductive"], ["verify", "--id", "csl-cubic"]],
+    ids=["scan", "verify"],
+)
+def test_jobs_below_one_is_a_usage_error(capsys, argv):
+    for jobs in ["0", "-3"]:
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert info.value.code == 1
+        assert captured.out == ""
+        assert "positive integer" in captured.err
+
+
 def test_scan_json_schema(capsys):
     code, out = run(
         capsys, "scan", "--n", "4", "--class", "deranged", "--format", "json",

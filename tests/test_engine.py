@@ -84,6 +84,14 @@ def test_play_length_mismatch():
         engine.play((1, 2, 3), CS4)
 
 
+def test_solve_rounds_rejects_length_mismatch():
+    # A shorter secret must not be played with the lower components, nor a
+    # longer one run off the end of the strategy.
+    for secret in [(2, 1, 3), (2, 3, 4, 5, 1)]:
+        with pytest.raises(ValueError):
+            engine.solve_rounds(secret, CS4)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_trace_invariants(n):
     strats = list(strategies.enumerate_strategies(n, "deranged"))
@@ -100,7 +108,7 @@ def test_trace_invariants(n):
                     len(h) < n for h in trace.correct_sets[:-1]
                 )
             assert engine.solve_rounds(secret, s) == (
-                trace.rounds if trace.solved else LOOPED
+                trace.rounds or LOOPED, trace.first_hit
             )
 
 
@@ -171,7 +179,7 @@ def test_playback_equals_one_plus_subgame_value(n):
     for s in fams:
         memo = SubgameMemo()
         for secret in perms.enumerate_perms(n):
-            direct = engine.solve_rounds(secret, s)
+            direct, _ = engine.solve_rounds(secret, s)
             rel = engine.relative_derangement(secret)
             if not rel:
                 assert direct == 1
@@ -184,7 +192,8 @@ def test_playback_equals_one_plus_subgame_value(n):
 def test_cs_round_count_is_excedances_plus_one(n):
     cs = strategies.cyclic_shift(n)
     for secret in perms.enumerate_perms(n):
-        assert engine.solve_rounds(secret, cs) == perms.excedance_count(secret) + 1
+        rounds, _ = engine.solve_rounds(secret, cs)
+        assert rounds == perms.excedance_count(secret) + 1
 
 
 def test_memo_shared_across_matching_prefixes():
@@ -206,4 +215,4 @@ def test_random_games_match_trace_and_fast_path():
         s = strategies.from_components(comps)
         trace = engine.play(secret, s)
         fast = engine.solve_rounds(secret, s)
-        assert fast == (trace.rounds if trace.solved else LOOPED)
+        assert fast == (trace.rounds or LOOPED, trace.first_hit)
