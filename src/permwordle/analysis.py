@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,6 +75,68 @@ def _derangements(k: int) -> tuple[Perm, ...]:
     return tuple(perms.enumerate_perms(k, "derangements"))
 
 
+@lru_cache(maxsize=None)
+def _composers(k: int) -> tuple[operator.itemgetter, ...]:
+    """One getter per d in D_k, in ``_derangements`` order, mapping the
+    padded component (0,) + s to s o d.  About 9 MB for k = 9, so it is
+    built only for a size that has a top-size lookup table."""
+    return tuple(operator.itemgetter(*d) for d in _derangements(k))
+
+
+def _top_lookup_stats(
+    strategy: Strategy, lookup: dict[Perm, int | float]
+) -> tuple[dict[int | float, int], int]:
+    """``_size_stats`` at the top size n, read off the lookup table V of
+    ``SubgameMemo.top_lookup``: T(d) = 1 + V(x) with x = s_n o d when x has
+    a fixed point, else T(d) = 1 + T(x) with x deranged (a no-lock step)."""
+    pad = (0,) + strategy.top
+    top: dict[Perm, int | float] = {}  # T of the deranged states chased
+    hist: dict[int | float, int] = {}
+    no_lock = 0
+    for compose in _composers(strategy.n):
+        x = compose(pad)
+        t = lookup.get(x)
+        if t is None:
+            t = top.get(x)
+            if t is None:
+                t = _top_chase(x, pad, lookup, top)
+            if t == 1:
+                no_lock += 1
+        t += 1
+        hist[t] = hist.get(t, 0) + 1
+    return hist, no_lock
+
+
+def _top_chase(
+    x: Perm,
+    pad: tuple[int, ...],
+    lookup: dict[Perm, int | float],
+    top: dict[Perm, int | float],
+) -> int | float:
+    """T(x) for a deranged top-size state x, following x -> s_n o x until
+    the composition is in V or already known, memoizing as the chain
+    unwinds; a repeated state loops forever, as in ``engine._chase``."""
+    chain: list[Perm] = []
+    on_chain: set[Perm] = set()
+    while True:
+        if x in on_chain:
+            for y in chain:
+                top[y] = LOOPED
+            return LOOPED
+        on_chain.add(x)
+        chain.append(x)
+        x = tuple([pad[v] for v in x])
+        t = lookup.get(x)
+        if t is None:
+            t = top.get(x)
+        if t is not None:
+            break
+    for y in reversed(chain):
+        t += 1
+        top[y] = t
+    return t
+
+
 def _size_stats(
     k: int, strategy: Strategy, tables: dict[int, dict[Perm, int | float]]
 ) -> tuple[dict[int | float, int], int]:
@@ -121,7 +184,6 @@ def decomposition_stats(
     if memo is None:
         memo = SubgameMemo()
     tables = memo.tables_up_to(strategy, n - 1)
-    tables[n] = {}  # the top-size table stays local to this strategy
     hists: dict[int, dict[int | float, int]] = {}
     for k in range(2, n):
         # Histograms below the top size are shared by every strategy with
@@ -130,7 +192,13 @@ def decomposition_stats(
         if prefix not in memo.hist_cache:
             memo.hist_cache[prefix] = _size_stats(k, strategy, tables)[0]
         hists[k] = memo.hist_cache[prefix]
-    hists[n], no_lock = _size_stats(n, strategy, tables)
+    # The lower tables are complete now, which the lookup table needs.
+    lookup = memo.top_lookup(strategy)
+    if lookup is None:
+        tables[n] = {}  # the top-size table stays local to this strategy
+        hists[n], no_lock = _size_stats(n, strategy, tables)
+    else:
+        hists[n], no_lock = _top_lookup_stats(strategy, lookup)
     coeffs = {1: 1}
     loops = 0
     for k in range(2, n + 1):
@@ -328,6 +396,8 @@ def scan(
     every member's row is built from its representative's result.  Workers
     own private memos and take contiguous runs of the representatives, so
     results are identical for any parallelism degree."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     check_scan_cost(n, kind, max_cost)
     # A member keeps only its text and orbit number (orbits numbered in
     # first-seen order), not its Strategy, so memory stays near the rows'.

@@ -19,11 +19,12 @@ full game on secret pi takes 1 + T(relative_derangement(pi)) guesses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import perms
+from . import closedform, perms
 from .perms import Perm
 from .strategies import Strategy
 
@@ -161,6 +162,10 @@ class SubgameMemo:
     size <= k, so one memo serves a whole inductive scan.  Not safe for
     concurrent mutation; use one memo per worker, or populate it fully and
     then share it read-only.
+
+    One slot holds the lower prefix s_1..s_{n-1} of the last strategy asked
+    about and, once that prefix has come up twice in a row, its top-size
+    lookup table (``top_lookup``).  At most one lookup table is alive.
     """
 
     def __init__(self) -> None:
@@ -168,6 +173,8 @@ class SubgameMemo:
         # T-value histograms over whole derangement classes, also keyed by
         # component prefix; maintained by the analysis layer.
         self.hist_cache: dict[tuple[Perm, ...], dict[int | float, int]] = {}
+        self._lookup_prefix: tuple[Perm, ...] | None = None
+        self._lookup: dict[Perm, int | float] | None = None
 
     def table(self, strategy: Strategy, k: int) -> dict[Perm, int | float]:
         """The value table for subgames of size k under this strategy."""
@@ -177,6 +184,50 @@ class SubgameMemo:
         self, strategy: Strategy, k: int
     ) -> dict[int, dict[Perm, int | float]]:
         return {size: self.table(strategy, size) for size in range(2, k + 1)}
+
+    def top_lookup(self, strategy: Strategy) -> dict[Perm, int | float] | None:
+        """V for the strategy's lower prefix, or None the first time in a
+        row that prefix is seen.
+
+        V maps every x in S_n with a fixed point to T(rd(x)) under the lower
+        components (0 for the identity).  A top-size secret d whose first
+        step s_n o d locks something then has T(d) = 1 + V(s_n o d).  V is
+        built from the size < n tables, which must be complete for this
+        prefix; a new prefix empties the slot without building anything,
+        so a lone strategy never pays for V.
+        """
+        prefix = strategy.components[:-1]
+        if prefix != self._lookup_prefix:
+            self._lookup_prefix, self._lookup = prefix, None
+        elif self._lookup is None:
+            self._lookup = _lookup_table(
+                strategy.n, self.tables_up_to(strategy, strategy.n - 1)
+            )
+        return self._lookup
+
+
+def _lookup_table(
+    n: int, tables: dict[int, dict[Perm, int | float]]
+) -> dict[Perm, int | float]:
+    """{x: T(rd(x))} over the n! - D_n permutations of size n with a fixed
+    point, from complete lower tables: each x is built from its incorrect
+    positions W and its relative derangement e, by x(W_j) = W_e(j)."""
+    lookup: dict[Perm, int | float] = {perms.identity(n): 0}
+    x = list(range(1, n + 1))
+    for k in range(2, n):
+        if len(tables[k]) != closedform.derangement_count(k):
+            raise ValueError(f"the size-{k} table must be complete to build V")
+        for wrong in itertools.combinations(range(n), k):
+            # The positions outside W keep x(q) = q; those in W are all
+            # overwritten for every e.
+            targets = (0,) + tuple(q + 1 for q in wrong)
+            for e, t in tables[k].items():
+                for q, v in zip(wrong, e):
+                    x[q] = targets[v]
+                lookup[tuple(x)] = t
+            for q in wrong:
+                x[q] = q + 1
+    return lookup
 
 
 def successor(d: Perm, component: Perm, guess: Perm) -> Perm:

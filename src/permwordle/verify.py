@@ -96,6 +96,8 @@ class ScanCache:
     """Memoizes scans so several checks in one session share the heavy work."""
 
     def __init__(self, jobs: int = 1, max_cost: int = DEFAULT_MAX_COST) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
         self.jobs = jobs
         self.max_cost = max_cost
         self._scans: dict[tuple[int, str], ScanResult] = {}

@@ -221,3 +221,54 @@ def test_shared_memo_reused_between_strategies():
     assert b.as_tuple() == (1, 26, 51, 26, 11, 5)
     # sizes 2..4 are histogrammed once and shared by both strategies
     assert len(memo.hist_cache) == 3
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("cyclic", n) for n in range(1, 6)]
+    + [("deranged", n) for n in range(1, 6)]
+    + [("inductive", n) for n in range(3, 8)],
+)
+def test_lookup_route_equals_fresh_decomposition(kind, n):
+    """A shared memo reads the top size off the lookup table once a lower
+    prefix repeats; a fresh memo never does.  Both must give the same
+    (gf, rho) for every strategy of the family."""
+    shared = SubgameMemo()
+    s = None
+    for s in strategies.enumerate_strategies(n, kind):
+        assert analysis.decomposition_stats(s, shared) == analysis.decomposition_stats(s)
+    # The last prefix repeated (every family has several tops per prefix
+    # from n = 4), so its lookup table was built and used.
+    assert n < 4 or shared.top_lookup(s) is not None
+
+
+def test_memo_keeps_at_most_one_lookup_table():
+    analysis._composers.cache_clear()
+    memo = SubgameMemo()
+    analysis.decomposition_stats(strategies.inductive((2, 3, 4, 5, 6, 1)), memo)
+    assert memo._lookup is None
+    assert analysis._composers.cache_info().currsize == 0
+    analysis.decomposition_stats(strategies.inductive((6, 1, 2, 3, 4, 5)), memo)
+    lookup = memo._lookup
+    assert lookup is not None and len(lookup) == factorial(6) - 265
+    assert analysis._composers.cache_info().currsize == 1
+    analysis.decomposition_stats(strategies.inductive((3, 1, 5, 2, 6, 4)), memo)
+    assert memo._lookup is lookup  # same lower prefix, same table
+    other = strategies.from_components(
+        [[1], [2, 1], [3, 1, 2], [2, 3, 4, 1], [2, 3, 4, 5, 1], [2, 3, 4, 5, 6, 1]]
+    )
+    analysis.decomposition_stats(other, memo)
+    assert memo._lookup is None and memo._lookup_prefix == other.components[:-1]
+
+
+def test_single_strategy_builds_no_lookup():
+    analysis._composers.cache_clear()
+    analysis.generating_function(strategies.cyclic_shift(7))
+    analysis.decomposition_stats(strategies.cyclic_shift(7), SubgameMemo())
+    assert analysis._composers.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_scan_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError):
+        analysis.scan(4, "inductive", jobs=jobs)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -147,6 +148,24 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv):
         assert info.value.code == 1
         assert captured.out == ""
         assert "positive integer" in captured.err
+
+
+# sha256 of `scan --format csv`, taken from the engine before the top-size
+# lookup table existed; every route to a scan row must keep these bytes.
+SCAN_CSV_SHA256 = {
+    ("inductive", "6"): "f4aa402ff14d323a82f7ad75f1aa15d26dc81b9bc62a0e53ebd5ca0f54ff74b9",
+    ("cyclic", "5"): "7a65a86a85443da06ed6d59adcdc7b250d1a88f8e4b6ddbb4453947d819a2d20",
+    ("deranged", "5"): "cd3b8e42327b131782ef74528ca3c560f75e4a88f0de8a2a36fca8fc284cb014",
+}
+
+
+@pytest.mark.parametrize("kind, n", list(SCAN_CSV_SHA256))
+def test_scan_csv_bytes_are_pinned(capsys, kind, n):
+    code, out = run(
+        capsys, "scan", "--n", n, "--class", kind, "--format", "csv", "--jobs", "1"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_CSV_SHA256[kind, n]
 
 
 def test_scan_json_schema(capsys):

@@ -1,9 +1,10 @@
 import itertools
 import random
+from math import factorial
 
 import pytest
 
-from permwordle import engine, perms, strategies
+from permwordle import closedform, engine, perms, strategies
 from permwordle.engine import LOOPED, SubgameMemo
 
 CS4 = strategies.cyclic_shift(4)
@@ -156,6 +157,47 @@ def test_successor_is_relative_derangement_of_composition(k):
             assert engine.successor(d, s, guess) == engine.relative_derangement(
                 perms.compose(s, d)
             )
+
+
+def _lookup_prefixes(k):
+    """Cyclic shift, its left-top variant, the looping swap top where it
+    fits, and two seeded deranged strategies of length k."""
+    rng = random.Random(k)
+    pools = {i: list(perms.enumerate_perms(i, "derangements")) for i in range(3, k + 1)}
+    out = [strategies.cyclic_shift(k), strategies.cyclic_shift_left_top(k)]
+    if k == 5:
+        out.append(strategies.from_components(list(SWAP_TOP.components) + [(2, 3, 4, 5, 1)]))
+    for _ in range(2):
+        comps = [[1], [2, 1]] + [list(rng.choice(pools[i])) for i in range(3, k + 1)]
+        out.append(strategies.from_components(comps))
+    return out
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_top_lookup_is_relative_derangement_then_lower_table(k):
+    """V(x) = T(rd(x)) from the lower tables, with V(identity) = 0, for
+    exactly the k! - D_k permutations of size k that have a fixed point."""
+    with_fixed_point = {p for p in perms.enumerate_perms(k) if not perms.is_derangement(p)}
+    assert len(with_fixed_point) == factorial(k) - closedform.derangement_count(k)
+    for s in _lookup_prefixes(k):
+        memo = SubgameMemo()
+        for size in range(2, k):
+            for d in perms.enumerate_perms(size, "derangements"):
+                engine.subgame_guesses(d, s, memo)
+        assert memo.top_lookup(s) is None  # first sight of the prefix
+        lookup = memo.top_lookup(s)
+        assert set(lookup) == with_fixed_point
+        for x, value in lookup.items():
+            rd = engine.relative_derangement(x)
+            assert value == (memo.table(s, len(rd))[rd] if rd else 0)
+
+
+def test_top_lookup_refuses_incomplete_lower_tables():
+    memo = SubgameMemo()
+    engine.subgame_guesses((2, 1, 4, 3), CS5, memo)
+    assert memo.top_lookup(CS5) is None
+    with pytest.raises(ValueError):
+        memo.top_lookup(CS5)
 
 
 def test_subgame_examples():

@@ -298,3 +298,9 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_scan_cache_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError):
+        ScanCache(jobs=jobs)
