@@ -13,7 +13,10 @@ first-hit-class counts, each as one (gf, rho) pair from one pass:
 The two pairs must agree everywhere; tests enforce it.  Scans use the
 decomposition with a memo shared across strategies that agree on component
 prefixes, which is what makes family-wide sweeps cheap, and evaluate only
-one strategy per rotation or mirror orbit (``_canonical``).
+one strategy per rotation or mirror orbit (``_canonical``).  At the top size
+a scan reads T(d) = m(d) + V(y(d)): V is the lookup table of the lower
+prefix and m, y come from the no-lock chains of the top component
+(``_top_chains``), which the memo reuses under every lower prefix.
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -24,10 +27,12 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf
+from typing import NamedTuple
 
 from . import closedform, perms, strategies
 from .engine import LOOPED, SubgameMemo, _chase, solve_rounds, successor
@@ -83,58 +88,75 @@ def _composers(k: int) -> tuple[operator.itemgetter, ...]:
     return tuple(operator.itemgetter(*d) for d in _derangements(k))
 
 
+@lru_cache(maxsize=None)
+def _derangement_index(k: int) -> dict[Perm, int]:
+    """The position of each d in ``_derangements(k)``."""
+    return {d: i for i, d in enumerate(_derangements(k))}
+
+
+class TopChains(NamedTuple):
+    """The no-lock chains of one top component s over D_n.
+
+    The chain of d is x_1 = s o d, x_(i+1) = s o x_i while x_i is deranged;
+    it ends at y(d) = x_m, the first composition with a fixed point, after
+    m(d) = m steps.  ``ends`` and ``lengths`` hold y(d) and m(d) side by
+    side for every d whose chain ends; ``loops`` counts the d whose chain
+    repeats first, and ``no_lock`` the d with m(d) = 2 and y(d) = identity.
+    None of it depends on the components below s.
+    """
+
+    ends: tuple[Perm, ...]
+    lengths: tuple[int, ...]
+    loops: int
+    no_lock: int
+
+
+def _top_chains(top: Perm) -> TopChains:
+    """``TopChains`` of ``top``, one composition per derangement.
+
+    When x_1 = s o d is deranged, it is some d' in D_n and the chain of d
+    continues as that of d', so m(d) = 1 + m(d') and y(d) = y(d').
+    Composing with s is injective, so each d' comes from at most one d, and
+    the chains are walked back one length at a time from those that end
+    after one step."""
+    n = len(top)
+    pad = (0,) + top
+    firsts = [compose(pad) for compose in _composers(n)]
+    index = _derangement_index(n)
+    came_from = [-1] * len(firsts)
+    level: list[tuple[int, Perm]] = []  # (position of d in D_n, y(d))
+    for i, j in enumerate(map(index.get, firsts)):
+        if j is None:
+            level.append((i, firsts[i]))
+        else:
+            came_from[j] = i
+    ends: list[Perm] = []
+    lengths: list[int] = []
+    m = 0
+    while level:
+        m += 1
+        ends += [y for _, y in level]
+        lengths += [m] * len(level)
+        level = [(came_from[i], y) for i, y in level if came_from[i] >= 0]
+    # y(d) = identity with m(d) = 2 means s o s o d = identity, so the only
+    # candidate is d = s^-2, a derangement exactly when s o s is one (and
+    # then x_1 = s^-1 is deranged too).
+    no_lock = int(perms.is_derangement(perms.compose(top, top)))
+    loops = len(firsts) - len(ends)
+    return TopChains(tuple(ends), tuple(lengths), loops, no_lock)
+
+
 def _top_lookup_stats(
-    strategy: Strategy, lookup: dict[Perm, int | float]
+    chains: TopChains, lookup: dict[Perm, int | float]
 ) -> tuple[dict[int | float, int], int]:
     """``_size_stats`` at the top size n, read off the lookup table V of
-    ``SubgameMemo.top_lookup``: T(d) = 1 + V(x) with x = s_n o d when x has
-    a fixed point, else T(d) = 1 + T(x) with x deranged (a no-lock step)."""
-    pad = (0,) + strategy.top
-    top: dict[Perm, int | float] = {}  # T of the deranged states chased
-    hist: dict[int | float, int] = {}
-    no_lock = 0
-    for compose in _composers(strategy.n):
-        x = compose(pad)
-        t = lookup.get(x)
-        if t is None:
-            t = top.get(x)
-            if t is None:
-                t = _top_chase(x, pad, lookup, top)
-            if t == 1:
-                no_lock += 1
-        t += 1
-        hist[t] = hist.get(t, 0) + 1
-    return hist, no_lock
-
-
-def _top_chase(
-    x: Perm,
-    pad: tuple[int, ...],
-    lookup: dict[Perm, int | float],
-    top: dict[Perm, int | float],
-) -> int | float:
-    """T(x) for a deranged top-size state x, following x -> s_n o x until
-    the composition is in V or already known, memoizing as the chain
-    unwinds; a repeated state loops forever, as in ``engine._chase``."""
-    chain: list[Perm] = []
-    on_chain: set[Perm] = set()
-    while True:
-        if x in on_chain:
-            for y in chain:
-                top[y] = LOOPED
-            return LOOPED
-        on_chain.add(x)
-        chain.append(x)
-        x = tuple([pad[v] for v in x])
-        t = lookup.get(x)
-        if t is None:
-            t = top.get(x)
-        if t is not None:
-            break
-    for y in reversed(chain):
-        t += 1
-        top[y] = t
-    return t
+    ``SubgameMemo.top_lookup``: T(d) = m(d) + V(y(d)), with m and y from
+    the top's no-lock ``chains``."""
+    values = map(lookup.__getitem__, chains.ends)
+    hist = Counter(map(operator.add, values, chains.lengths))
+    if chains.loops:
+        hist[LOOPED] += chains.loops
+    return hist, chains.no_lock
 
 
 def _size_stats(
@@ -198,7 +220,8 @@ def decomposition_stats(
         tables[n] = {}  # the top-size table stays local to this strategy
         hists[n], no_lock = _size_stats(n, strategy, tables)
     else:
-        hists[n], no_lock = _top_lookup_stats(strategy, lookup)
+        chains = memo.top_chains(strategy.top, _top_chains)
+        hists[n], no_lock = _top_lookup_stats(chains, lookup)
     coeffs = {1: 1}
     loops = 0
     for k in range(2, n + 1):
@@ -370,7 +393,7 @@ def _canonical(strategy: Strategy, kind: str) -> tuple[Perm, ...]:
             for j in range(n)
         )
         return comps[:-1] + (min(conjugates),)
-    return min(comps, strategies.mirror(strategy).components)
+    return min(comps, tuple(map(strategies.mirror_component, comps)))
 
 
 def _evaluate(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from . import closedform, perms
 from .perms import Perm
@@ -32,6 +32,8 @@ from .strategies import Strategy
 # chain arithmetic uniform (LOOPED + 1 == LOOPED) and sorts after all
 # finite guess counts.
 LOOPED = math.inf
+
+Chains = TypeVar("Chains")
 
 
 def feedback(guess: Perm, secret: Perm) -> frozenset[int]:
@@ -166,6 +168,10 @@ class SubgameMemo:
     One slot holds the lower prefix s_1..s_{n-1} of the last strategy asked
     about and, once that prefix has come up twice in a row, its top-size
     lookup table (``top_lookup``).  At most one lookup table is alive.
+    The no-lock chains of a top component (``top_chains``) do not depend on
+    the prefix; they are kept per top once that top has come up twice, so
+    they cost at most one chain structure of |D_n| entries per recurring
+    top.
     """
 
     def __init__(self) -> None:
@@ -175,6 +181,8 @@ class SubgameMemo:
         self.hist_cache: dict[tuple[Perm, ...], dict[int | float, int]] = {}
         self._lookup_prefix: tuple[Perm, ...] | None = None
         self._lookup: dict[Perm, int | float] | None = None
+        # Tops seen on the lookup route; None until a top comes up again.
+        self._chains: dict[Perm, object] = {}
 
     def table(self, strategy: Strategy, k: int) -> dict[Perm, int | float]:
         """The value table for subgames of size k under this strategy."""
@@ -204,6 +212,22 @@ class SubgameMemo:
                 strategy.n, self.tables_up_to(strategy, strategy.n - 1)
             )
         return self._lookup
+
+    def top_chains(self, top: Perm, build: Callable[[Perm], Chains]) -> Chains:
+        """``build(top)``, kept from the second time ``top`` is asked for.
+
+        The chains depend only on the top, so a family whose tops recur
+        under many lower prefixes (cyclic, deranged) builds each at most
+        twice, and one whose tops never recur (an inductive scan) keeps
+        none.
+        """
+        if top not in self._chains:
+            self._chains[top] = None
+            return build(top)
+        chains = self._chains[top]
+        if chains is None:
+            chains = self._chains[top] = build(top)
+        return chains
 
 
 def _lookup_table(

@@ -130,15 +130,19 @@ def from_components(components: Iterable[Iterable[int]]) -> Strategy:
     return Strategy(tuple(comps), kind)
 
 
+def mirror_component(c: Perm) -> Perm:
+    """c conjugated by the reflection i -> k+1-i of its positions and values,
+    k = len(c)."""
+    k = len(c) + 1
+    return tuple([k - v for v in reversed(c)])
+
+
 def mirror(strategy: Strategy) -> Strategy:
     """The reflection conjugate: relabel positions and values i -> k+1-i in
     every component.  Mirroring maps right shifts to left shifts and
     preserves the full play-out of every game, so a strategy and its mirror
     always share a generating function."""
-    comps = tuple(
-        tuple(len(c) + 1 - c[len(c) - x] for x in range(1, len(c) + 1))
-        for c in strategy.components
-    )
+    comps = tuple(map(mirror_component, strategy.components))
     kind = "cyclic" if all(perms.is_cyclic(c) for c in comps) else "deranged"
     return Strategy(comps, kind)
 

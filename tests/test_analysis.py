@@ -4,9 +4,9 @@ from math import factorial, inf
 
 import pytest
 
-from permwordle import analysis, perms, strategies
+from permwordle import analysis, engine, perms, strategies
 from permwordle.analysis import GFCoefficients, ScanCostError
-from permwordle.engine import SubgameMemo
+from permwordle.engine import LOOPED, SubgameMemo
 
 CS4 = strategies.cyclic_shift(4)
 CSL4 = strategies.cyclic_shift_left_top(4)
@@ -240,6 +240,82 @@ def test_lookup_route_equals_fresh_decomposition(kind, n):
     # The last prefix repeated (every family has several tops per prefix
     # from n = 4), so its lookup table was built and used.
     assert n < 4 or shared.top_lookup(s) is not None
+    # Chains are kept only for tops that recur under another prefix: never
+    # in an inductive family (one prefix) or for a lone strategy.
+    kept = [c for c in shared._chains.values() if c is not None]
+    assert bool(kept) == (kind != "inductive" and n >= 4)
+    lone = SubgameMemo()
+    analysis.decomposition_stats(s, lone)
+    assert not lone._chains
+
+
+def _no_lock_chain(top, d):
+    """(m, y) of d's chain x_1 = top o d, x_(i+1) = top o x_i, followed until
+    x_m has a fixed point, or None when it repeats first."""
+    x, seen = perms.compose(top, d), set()
+    while perms.is_derangement(x):
+        if x in seen:
+            return None
+        seen.add(x)
+        x = perms.compose(top, x)
+    return len(seen) + 1, x
+
+
+def _prefixes(n, rng):
+    """Lower prefixes s_1..s_(n-1): right shifts and their mirror, and from
+    n = 5 seeded derangements and a prefix whose size-4 component loops.
+    n = 3 has a single lower prefix."""
+    right = strategies.cyclic_shift(n - 1).components
+    if n == 3:
+        return [right]
+    found = [right, tuple(map(strategies.mirror_component, right))]
+    if n >= 5:
+        pools = [list(perms.enumerate_perms(k, "derangements")) for k in range(3, n)]
+        found.append(((1,), (2, 1)) + tuple(rng.choice(p) for p in pools))
+        found.append(((1,), (2, 1), (2, 3, 1), (2, 1, 4, 3)) + right[4:])
+    return found
+
+
+def _pair_swap_top(n):
+    """Swaps of adjacent pairs, ending in a 3-cycle when n is odd; some of
+    its chains loop at n = 4, 6 and 7 (no top of size 3 or 5 has one)."""
+    swaps = [v for i in range(1, n - 2 if n % 2 else n, 2) for v in (i + 1, i)]
+    return tuple(swaps) + ((n - 1, n, n - 2) if n % 2 else ())
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_top_chains_are_prefix_independent(n):
+    """T(d) = m(d) + V(y(d)) under every lower prefix, with m, y, the loop
+    and no-lock counts taken once per top from ``_top_chains``."""
+    rng = random.Random(4100 + n)
+    tops = [
+        strategies.cyclic_shift(n).top,
+        strategies.cyclic_shift_left_top(n).top,
+        rng.choice(list(perms.enumerate_perms(n, "derangements"))),
+        _pair_swap_top(n),
+    ]
+    for top in tops:
+        chains = analysis._top_chains(top)
+        ends = [_no_lock_chain(top, d) for d in analysis._derangements(n)]
+        reached = sorted(e for e in ends if e is not None)
+        assert sorted(zip(chains.lengths, chains.ends)) == reached
+        assert chains.loops == ends.count(None)
+        assert chains.no_lock == ends.count((2, perms.identity(n)))
+        for prefix in _prefixes(n, rng):
+            s = strategies.Strategy(prefix + (top,))
+            memo = SubgameMemo()
+            analysis.decomposition_stats(s, memo)
+            lookup = memo.top_lookup(s)
+            tables = SubgameMemo().tables_up_to(s, n)
+            fresh = [
+                engine._chase(d, s.inverses, s.components, tables)
+                for d in analysis._derangements(n)
+            ]
+            for t, end in zip(fresh, ends):
+                assert t == (LOOPED if end is None else end[0] + lookup[end[1]])
+            looped = sum(lookup[y] == LOOPED for y in chains.ends)
+            assert fresh.count(LOOPED) == chains.loops + looped
+            assert analysis.decomposition_stats(s)[1][3] == chains.no_lock
 
 
 def test_memo_keeps_at_most_one_lookup_table():
