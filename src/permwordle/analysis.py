@@ -14,9 +14,9 @@ The two pairs must agree everywhere; tests enforce it.  Scans use the
 decomposition with a memo shared across strategies that agree on component
 prefixes, which is what makes family-wide sweeps cheap, and evaluate only
 one strategy per rotation or mirror orbit (``_canonical``).  At the top size
-a scan reads T(d) = m(d) + V(y(d)): V is the lookup table of the lower
-prefix and m, y come from the no-lock chains of the top component
-(``_top_chains``), which the memo reuses under every lower prefix.
+a scan reads T(d) = m(d) + V(y(d)): V is the rank-indexed lookup table of
+the lower prefix and m, y come from the no-lock chains of the top component
+(``_top_chains``), which serve it under every lower prefix.
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -27,15 +27,16 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import closedform, perms, strategies
-from .engine import LOOPED, SubgameMemo, _chase, solve_rounds, successor
+from .engine import LOOPED, SubgameMemo, Tables, _chase, solve_rounds, successor
 from .perms import Perm
 from .strategies import Strategy
 
@@ -75,171 +76,217 @@ class GFCoefficients:
         return tuple(self.coefficient(r) for r in range(1, self.max_guesses + 1))
 
 
+Stats = tuple[GFCoefficients, dict[int, int]]  # (gf, first-hit class counts rho)
+Hist = dict[int | float, int]  # number of subgames d by T(d)
+
+
 @lru_cache(maxsize=None)
 def _derangements(k: int) -> tuple[Perm, ...]:
     return tuple(perms.enumerate_perms(k, "derangements"))
 
 
-@lru_cache(maxsize=None)
-def _composers(k: int) -> tuple[operator.itemgetter, ...]:
-    """One getter per d in D_k, in ``_derangements`` order, mapping the
-    padded component (0,) + s to s o d.  About 9 MB for k = 9, so it is
-    built only for a size that has a top-size lookup table."""
-    return tuple(operator.itemgetter(*d) for d in _derangements(k))
+LOOPED_CODE = 255  # LOOPED in a lookup table V; see ``_top_values``
+MAX_RANKED = 9  # n - 1 entries fix a permutation; up to 9 they fit a word
+
+
+def _words(ps: Iterable[Perm]) -> bytes:
+    """Each permutation's first n - 1 entries as a zero-padded 8-byte word:
+    ``bytes.translate`` composes all with s, ``memoryview.cast`` reads ints."""
+    return b"".join(bytes(p[:-1]).ljust(8, b"\0") for p in ps)
+
+
+class _Ranks(NamedTuple):
+    """Structures of size n for the rank route, where the rank of a
+    permutation is its lexicographic index in S_n."""
+
+    index: dict[int, int]  # rank by word
+    blob: bytes  # the words of _derangements(n)
+    position: list[int]  # by rank: the position in _derangements(n), or -1
+    # By rank: the entry of T(rd(x)) in the flat list 0 (the identity),
+    # then T(e) for e in _derangements(k), k = 2..n-1; 0 for derangements.
+    layout: operator.itemgetter
 
 
 @lru_cache(maxsize=None)
-def _derangement_index(k: int) -> dict[Perm, int]:
-    """The position of each d in ``_derangements(k)``."""
-    return {d: i for i, d in enumerate(_derangements(k))}
+def _ranks(n: int) -> _Ranks:
+    """``_Ranks`` for size n.  Each x with a fixed point is built from its
+    incorrect positions W and its relative derangement e, by
+    x(W_j) = W_e(j), so its layout entry is that of e."""
+    words = memoryview(_words(itertools.permutations(range(1, n + 1)))).cast("Q")
+    index = dict(zip(words.tolist(), itertools.count()))
+    blob = _words(_derangements(n))
+    position = [-1] * len(index)
+    for i, word in enumerate(memoryview(blob).cast("Q").tolist()):
+        position[index[word]] = i
+    entry = [0] * len(index)
+    offset = 1
+    for k in range(2, n):
+        for wrong in itertools.combinations(range(n), k):
+            x = list(range(1, n + 1))
+            targets = (0,) + tuple(q + 1 for q in wrong)
+            for i, e in enumerate(_derangements(k), offset):
+                for q, v in zip(wrong, e):
+                    x[q] = targets[v]
+                entry[index[int.from_bytes(bytes(x[:-1]).ljust(8, b"\0"), sys.byteorder)]] = i
+        offset += len(_derangements(k))
+    return _Ranks(index, blob, position, operator.itemgetter(*entry))
+
+
+def _top_values(n: int, tables: Tables) -> bytes:
+    """The lookup table V of a lower prefix, from its complete size < n
+    tables: V[rank of x] = T(rd(x)) for every x in S_n with a fixed point
+    (0 for the identity).  A top-size d whose first step s_n o d locks
+    something then has T(d) = 1 + V(s_n o d).
+
+    LOOPED is stored as ``LOOPED_CODE`` (255) and every finite T as itself,
+    so the codes cannot collide while every finite T is below 255.  A
+    finite T is at most the number of subgames below n, which keeps it
+    there for every n up to 6 (1 + 2 + 9 + 44 of them); beyond that the
+    bound is checked, and a larger T is refused rather than wrapped."""
+    flat: list[int | float] = [0]
+    for k in range(2, n):
+        if len(tables[k]) != closedform.derangement_count(k):
+            raise ValueError(f"the size-{k} table must be complete to build V")
+        flat += map(tables[k].__getitem__, _derangements(k))
+    longest = max(t for t in flat if t != LOOPED)
+    if longest >= LOOPED_CODE:
+        raise ValueError(f"T = {longest} does not fit below the LOOPED code {LOOPED_CODE}")
+    codes = bytes(LOOPED_CODE if t == LOOPED else t for t in flat)
+    return bytes(_ranks(n).layout(codes))
 
 
 class TopChains(NamedTuple):
-    """The no-lock chains of one top component s over D_n.
+    """The no-lock chains over D_n of a top component s, whatever is below.
 
     The chain of d is x_1 = s o d, x_(i+1) = s o x_i while x_i is deranged;
     it ends at y(d) = x_m, the first composition with a fixed point, after
-    m(d) = m steps.  ``ends`` and ``lengths`` hold y(d) and m(d) side by
-    side for every d whose chain ends; ``loops`` counts the d whose chain
-    repeats first, and ``no_lock`` the d with m(d) = 2 and y(d) = identity.
-    None of it depends on the components below s.
+    m(d) = m steps.  ``ends[m - 1]`` holds the rank of y(d) for each d with
+    m(d) = m; ``loops`` counts the d whose chain repeats.
     """
 
-    ends: tuple[Perm, ...]
-    lengths: tuple[int, ...]
+    ends: tuple[list[int], ...]
     loops: int
-    no_lock: int
 
 
 def _top_chains(top: Perm) -> TopChains:
-    """``TopChains`` of ``top``, one composition per derangement.
+    """``TopChains`` of ``top``, following all chains at once, a step each.
 
-    When x_1 = s o d is deranged, it is some d' in D_n and the chain of d
-    continues as that of d', so m(d) = 1 + m(d') and y(d) = y(d').
-    Composing with s is injective, so each d' comes from at most one d, and
-    the chains are walked back one length at a time from those that end
-    after one step."""
+    One ``bytes.translate`` composes s with every d; a deranged x_i is some
+    d' in D_n, so x_(i+1) = s o d' is read off those compositions by its
+    position.  x_j = s^j o d comes back to d at the order of s, so a chain
+    that has not ended by then never does."""
     n = len(top)
-    pad = (0,) + top
-    firsts = [compose(pad) for compose in _composers(n)]
-    index = _derangement_index(n)
-    came_from = [-1] * len(firsts)
-    level: list[tuple[int, Perm]] = []  # (position of d in D_n, y(d))
-    for i, j in enumerate(map(index.get, firsts)):
-        if j is None:
-            level.append((i, firsts[i]))
-        else:
-            came_from[j] = i
-    ends: list[Perm] = []
-    lengths: list[int] = []
-    m = 0
-    while level:
-        m += 1
-        ends += [y for _, y in level]
-        lengths += [m] * len(level)
-        level = [(came_from[i], y) for i, y in level if came_from[i] >= 0]
-    # y(d) = identity with m(d) = 2 means s o s o d = identity, so the only
-    # candidate is d = s^-2, a derangement exactly when s o s is one (and
-    # then x_1 = s^-1 is deranged too).
-    no_lock = int(perms.is_derangement(perms.compose(top, top)))
-    loops = len(firsts) - len(ends)
-    return TopChains(tuple(ends), tuple(lengths), loops, no_lock)
+    ranks = _ranks(n)
+    compose = bytes.maketrans(bytes(range(n + 1)), bytes((0,) + top))
+    words = memoryview(ranks.blob.translate(compose)).cast("Q").tolist()
+    firsts = xs = list(map(ranks.index.__getitem__, words))
+    identity, power, order = bytes(range(1, n + 1)), bytes(top), 1
+    while power != identity:
+        power, order = power.translate(compose), order + 1
+    ends = []
+    while xs and len(ends) < order - 1:
+        at = list(map(ranks.position.__getitem__, xs))
+        ended = list(map(operator.lt, at, itertools.repeat(0)))
+        ends.append(list(itertools.compress(xs, ended)))
+        xs = list(map(firsts.__getitem__, itertools.compress(at, map(operator.not_, ended))))
+    return TopChains(tuple(ends), len(xs))
 
 
-def _top_lookup_stats(
-    chains: TopChains, lookup: dict[Perm, int | float]
-) -> tuple[dict[int | float, int], int]:
-    """``_size_stats`` at the top size n, read off the lookup table V of
-    ``SubgameMemo.top_lookup``: T(d) = m(d) + V(y(d)), with m and y from
-    the top's no-lock ``chains``."""
-    values = map(lookup.__getitem__, chains.ends)
-    hist = Counter(map(operator.add, values, chains.lengths))
-    if chains.loops:
-        hist[LOOPED] += chains.loops
-    return hist, chains.no_lock
+def _top_stats(top: Perm, values: bytes, chains: TopChains | None) -> Hist:
+    """``_size_stats`` at the top size n, read off the lookup table V:
+    T(d) = m(d) + V(y(d)) (LOOPED if either is), with m and y from the
+    no-lock ``chains`` of the top, built here when not given."""
+    chains = chains or _top_chains(top)
+    hist: Hist = {LOOPED: chains.loops} if chains.loops else {}
+    for m, ends in enumerate(chains.ends, 1):
+        # The trailing rank keeps the getter's result a tuple; it is cut.
+        found = bytes(operator.itemgetter(*ends, 0)(values))[:-1]
+        for v in set(found):
+            t = LOOPED if v == LOOPED_CODE else m + v
+            hist[t] = hist.get(t, 0) + found.count(v)
+    return hist
 
 
-def _size_stats(
-    k: int, strategy: Strategy, tables: dict[int, dict[Perm, int | float]]
-) -> tuple[dict[int | float, int], int]:
-    """Histogram of T over D_k, plus the number of d with T(d) = 2 whose
-    first step locked nothing (hit only on the final guess three rather
-    than on guess two).  Fills the size-k table completely."""
+def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
+    """Histogram of T over D_k.  Fills the size-k table completely."""
     invs, comps = strategy.inverses, strategy.components
     component, guess = comps[k - 1], invs[k - 1]
     table = tables[k]
-    hist: dict[int | float, int] = {}
-    no_lock = 0
+    hist: Hist = {}
     for d in _derangements(k):
         t = table.get(d)
-        # A cached value skips the step, except T = 2, whose split by the
-        # size of the successor is counted here.
-        if t is None or t == 2:
+        if t is None:
             e = successor(d, component, guess)
             if e:
                 t = tables[len(e)].get(e)
                 if t is None:
                     t = _chase(e, invs, comps, tables)
                 t += 1
-                if t == 2 and len(e) == k:
-                    no_lock += 1
             else:
                 t = 1
             table[d] = t
         hist[t] = hist.get(t, 0) + 1
-    return hist, no_lock
+    return hist
 
 
-def decomposition_stats(
-    strategy: Strategy, memo: SubgameMemo | None = None
-) -> tuple[GFCoefficients, dict[int, int]]:
-    """Generating function and first-hit-class counts via the memoized
-    subgame decomposition.
+class LowerPrefix(NamedTuple):
+    """What the strategies of lower prefix s_1..s_(n-1) share: the sum of
+    C(n, k) times the T histogram of each size k < n and, once a scan has
+    prepared it, V and the chains of the tops that recur in its chunk."""
 
-    The returned dict maps the first-hit round i in {1, 2, 3} to the number
-    of secrets solved in exactly three guesses whose first correct position
-    appeared on guess i.
-    """
+    components: tuple[Perm, ...]
+    weighted: Counter
+    values: bytes | None = None
+    chains: dict[Perm, TopChains] | None = None
+
+
+def _lower_stats(strategy: Strategy, memo: SubgameMemo) -> LowerPrefix:
+    """Fill the size < n tables of ``strategy`` and sum their histograms."""
     n = strategy.n
-    if n == 1:
-        return GFCoefficients(1, {1: 1}, 0), {1: 0, 2: 0, 3: 0}
-    if memo is None:
-        memo = SubgameMemo()
     tables = memo.tables_up_to(strategy, n - 1)
-    hists: dict[int, dict[int | float, int]] = {}
+    weighted: Counter = Counter()
     for k in range(2, n):
         # Histograms below the top size are shared by every strategy with
         # the same components s_1..s_k.
         prefix = strategy.components[:k]
         if prefix not in memo.hist_cache:
-            memo.hist_cache[prefix] = _size_stats(k, strategy, tables)[0]
-        hists[k] = memo.hist_cache[prefix]
-    # The lower tables are complete now, which the lookup table needs.
-    lookup = memo.top_lookup(strategy)
-    if lookup is None:
+            memo.hist_cache[prefix] = _size_stats(k, strategy, tables)
+        weighted.update({t: comb(n, k) * cnt for t, cnt in memo.hist_cache[prefix].items()})
+    return LowerPrefix(strategy.components[:-1], weighted)
+
+
+def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> Stats:
+    """Generating function and first-hit-class counts via the memoized
+    subgame decomposition.
+
+    The returned dict maps the first-hit round i in {1, 2, 3} to the number
+    of secrets solved in exactly three guesses whose first correct position
+    appeared on guess i.  The top size is read off ``memo.lower``'s lookup
+    table when ``_evaluate`` prepared it for this lower prefix.
+    """
+    n = strategy.n
+    memo = memo or SubgameMemo()
+    lower = memo.lower
+    if lower is None or lower.components != strategy.components[:-1]:
+        lower = _lower_stats(strategy, memo)
+    if lower.values is None:
+        tables = memo.tables_up_to(strategy, n - 1)
         tables[n] = {}  # the top-size table stays local to this strategy
-        hists[n], no_lock = _size_stats(n, strategy, tables)
+        hist = _size_stats(n, strategy, tables)
     else:
-        chains = memo.top_chains(strategy.top, _top_chains)
-        hists[n], no_lock = _top_lookup_stats(chains, lookup)
-    coeffs = {1: 1}
-    loops = 0
-    for k in range(2, n + 1):
-        ways = comb(n, k)
-        for t, cnt in hists[k].items():
-            if t == LOOPED:
-                loops += ways * cnt
-            else:
-                coeffs[t + 1] = coeffs.get(t + 1, 0) + ways * cnt
-    rho1 = sum(comb(n, k) * hists[k].get(2, 0) for k in range(2, n))
-    gf = GFCoefficients(n, coeffs, loops)
+        hist = _top_stats(strategy.top, lower.values, lower.chains.get(strategy.top))
+    counts = lower.weighted + Counter(hist)
+    loops = counts.pop(LOOPED, 0)
+    gf = GFCoefficients(n, {1: 1, **{t + 1: cnt for t, cnt in counts.items()}}, loops)
     # A top-size d with T(d) = 2 is hit on guess two exactly when its first
-    # step locked something; otherwise guess three is its first hit.
-    rho2 = hists[n].get(2, 0) - no_lock
-    return gf, {1: rho1, 2: rho2, 3: no_lock}
+    # step locked something; otherwise guess three is its first hit.  Then
+    # s o d is deranged and s o s o d = identity (s = s_n), so the only such
+    # d is s^-2, a derangement exactly when s o s is one (s o d = s^-1 is).
+    no_lock = int(perms.is_derangement(perms.compose(strategy.top, strategy.top)))
+    return gf, {1: lower.weighted[2], 2: hist.get(2, 0) - no_lock, 3: no_lock}
 
 
-def gf_playback(strategy: Strategy) -> tuple[GFCoefficients, dict[int, int]]:
+def gf_playback(strategy: Strategy) -> Stats:
     """Generating function and first-hit-class counts, as from
     ``decomposition_stats``, by playing out every one of the n! secrets."""
     n = strategy.n
@@ -396,12 +443,27 @@ def _canonical(strategy: Strategy, kind: str) -> tuple[Perm, ...]:
     return min(comps, tuple(map(strategies.mirror_component, comps)))
 
 
-def _evaluate(
-    reps: list[tuple[Perm, ...]],
-) -> list[tuple[GFCoefficients, dict[int, int]]]:
-    """Decomposition of each representative, with one memo for them all."""
+def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
+    """Decomposition of each representative, with one memo for them all.
+
+    Each run of representatives that share a lower prefix is one group: its
+    lower sizes, their histogram sum and its lookup table V are built once,
+    then each top is read off V.  The chains of a top that occurs more than
+    once in ``reps`` are built once and kept."""
     memo = SubgameMemo()
-    return [decomposition_stats(Strategy(comps), memo) for comps in reps]
+    n = len(reps[0]) if reps else 0
+    ranked = 1 < n <= MAX_RANKED
+    tops = Counter(comps[-1] for comps in reps) if ranked else {}
+    chains = {top: _top_chains(top) for top, count in tops.items() if count > 1}
+    out = []
+    for _, group in itertools.groupby(reps, key=lambda comps: comps[:-1]):
+        group = [Strategy(comps) for comps in group]
+        if ranked:
+            lower = _lower_stats(group[0], memo)
+            values = _top_values(n, memo.tables_up_to(group[0], n - 1))
+            memo.lower = lower._replace(values=values, chains=chains)
+        out += [decomposition_stats(s, memo) for s in group]
+    return out
 
 
 def scan(

@@ -19,12 +19,11 @@ full game on secret pi takes 1 + T(relative_derangement(pi)) guesses.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable
 
-from . import closedform, perms
+from . import perms
 from .perms import Perm
 from .strategies import Strategy
 
@@ -33,7 +32,7 @@ from .strategies import Strategy
 # finite guess counts.
 LOOPED = math.inf
 
-Chains = TypeVar("Chains")
+Tables = dict[int, dict[Perm, int | float]]  # T(d) by subgame size, then d
 
 
 def feedback(guess: Perm, secret: Perm) -> frozenset[int]:
@@ -165,13 +164,9 @@ class SubgameMemo:
     concurrent mutation; use one memo per worker, or populate it fully and
     then share it read-only.
 
-    One slot holds the lower prefix s_1..s_{n-1} of the last strategy asked
-    about and, once that prefix has come up twice in a row, its top-size
-    lookup table (``top_lookup``).  At most one lookup table is alive.
-    The no-lock chains of a top component (``top_chains``) do not depend on
-    the prefix; they are kept per top once that top has come up twice, so
-    they cost at most one chain structure of |D_n| entries per recurring
-    top.
+    ``lower`` is what a scan shares among the strategies of one lower
+    prefix s_1..s_{n-1}, set before it evaluates them (else None); a
+    strategy of another lower prefix ignores it.
     """
 
     def __init__(self) -> None:
@@ -179,79 +174,14 @@ class SubgameMemo:
         # T-value histograms over whole derangement classes, also keyed by
         # component prefix; maintained by the analysis layer.
         self.hist_cache: dict[tuple[Perm, ...], dict[int | float, int]] = {}
-        self._lookup_prefix: tuple[Perm, ...] | None = None
-        self._lookup: dict[Perm, int | float] | None = None
-        # Tops seen on the lookup route; None until a top comes up again.
-        self._chains: dict[Perm, object] = {}
+        self.lower = None
 
     def table(self, strategy: Strategy, k: int) -> dict[Perm, int | float]:
         """The value table for subgames of size k under this strategy."""
         return self._tables.setdefault(strategy.components[:k], {})
 
-    def tables_up_to(
-        self, strategy: Strategy, k: int
-    ) -> dict[int, dict[Perm, int | float]]:
+    def tables_up_to(self, strategy: Strategy, k: int) -> Tables:
         return {size: self.table(strategy, size) for size in range(2, k + 1)}
-
-    def top_lookup(self, strategy: Strategy) -> dict[Perm, int | float] | None:
-        """V for the strategy's lower prefix, or None the first time in a
-        row that prefix is seen.
-
-        V maps every x in S_n with a fixed point to T(rd(x)) under the lower
-        components (0 for the identity).  A top-size secret d whose first
-        step s_n o d locks something then has T(d) = 1 + V(s_n o d).  V is
-        built from the size < n tables, which must be complete for this
-        prefix; a new prefix empties the slot without building anything,
-        so a lone strategy never pays for V.
-        """
-        prefix = strategy.components[:-1]
-        if prefix != self._lookup_prefix:
-            self._lookup_prefix, self._lookup = prefix, None
-        elif self._lookup is None:
-            self._lookup = _lookup_table(
-                strategy.n, self.tables_up_to(strategy, strategy.n - 1)
-            )
-        return self._lookup
-
-    def top_chains(self, top: Perm, build: Callable[[Perm], Chains]) -> Chains:
-        """``build(top)``, kept from the second time ``top`` is asked for.
-
-        The chains depend only on the top, so a family whose tops recur
-        under many lower prefixes (cyclic, deranged) builds each at most
-        twice, and one whose tops never recur (an inductive scan) keeps
-        none.
-        """
-        if top not in self._chains:
-            self._chains[top] = None
-            return build(top)
-        chains = self._chains[top]
-        if chains is None:
-            chains = self._chains[top] = build(top)
-        return chains
-
-
-def _lookup_table(
-    n: int, tables: dict[int, dict[Perm, int | float]]
-) -> dict[Perm, int | float]:
-    """{x: T(rd(x))} over the n! - D_n permutations of size n with a fixed
-    point, from complete lower tables: each x is built from its incorrect
-    positions W and its relative derangement e, by x(W_j) = W_e(j)."""
-    lookup: dict[Perm, int | float] = {perms.identity(n): 0}
-    x = list(range(1, n + 1))
-    for k in range(2, n):
-        if len(tables[k]) != closedform.derangement_count(k):
-            raise ValueError(f"the size-{k} table must be complete to build V")
-        for wrong in itertools.combinations(range(n), k):
-            # The positions outside W keep x(q) = q; those in W are all
-            # overwritten for every e.
-            targets = (0,) + tuple(q + 1 for q in wrong)
-            for e, t in tables[k].items():
-                for q, v in zip(wrong, e):
-                    x[q] = targets[v]
-                lookup[tuple(x)] = t
-            for q in wrong:
-                x[q] = q + 1
-    return lookup
 
 
 def successor(d: Perm, component: Perm, guess: Perm) -> Perm:
@@ -278,7 +208,7 @@ def _chase(
     d: Perm,
     invs: tuple[Perm, ...],
     comps: tuple[Perm, ...],
-    tables: dict[int, dict[Perm, int | float]],
+    tables: Tables,
 ) -> int | float:
     """T(d) by following T(d) = 1 + T(successor(d)), T(()) = 0, memoizing
     as the chain unwinds.  Each state has exactly one successor, so

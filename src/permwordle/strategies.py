@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -188,9 +188,15 @@ def count_strategies(n: int, kind: str) -> int:
     raise ValueError(f"unknown strategy class {kind!r}")
 
 
+@lru_cache(maxsize=4096)
+def _component_text(c: Perm) -> str:
+    # A family repeats few distinct components across many members.
+    return perms.format_perm(c)
+
+
 def format_strategy(strategy: Strategy) -> str:
     """Textual form: components as comma-separated entries joined by ';'."""
-    return ";".join(perms.format_perm(c) for c in strategy.components)
+    return ";".join(map(_component_text, strategy.components))
 
 
 def parse_strategy(text: str, n: int | None = None) -> Strategy:

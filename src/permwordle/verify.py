@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import analysis, closedform, perms, strategies
 from .analysis import DEFAULT_MAX_COST, ScanResult
-from .engine import SubgameMemo, solve_rounds
+from .engine import solve_rounds
 
 
 def _json_safe(value):
@@ -314,10 +314,11 @@ def _scan_symmetry_row(n: int, result: ScanResult):
     (cyclic, deranged) orbit and builds the other rows from it; every row
     must equal the one its own strategy's decomposition gives."""
     members = list(strategies.enumerate_strategies(n, result.kind))
-    memo = SubgameMemo()
+    # Every member, not just its orbit's representative, through the same
+    # per-prefix evaluation as the scan.
+    stats = analysis._evaluate([s.components for s in members])
     bad = []
-    for index, (row, strategy) in enumerate(zip(result.rows, members)):
-        gf, rho = analysis.decomposition_stats(strategy, memo)
+    for index, (row, strategy, (gf, rho)) in enumerate(zip(result.rows, members, stats)):
         own = (index, strategy.text, gf, analysis.average_guesses(gf), rho)
         if (row.index, row.strategy_id, row.gf, row.average, row.rho) != own:
             bad.append(strategy.text)

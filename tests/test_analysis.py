@@ -229,24 +229,53 @@ def test_shared_memo_reused_between_strategies():
     + [("deranged", n) for n in range(1, 6)]
     + [("inductive", n) for n in range(3, 8)],
 )
-def test_lookup_route_equals_fresh_decomposition(kind, n):
-    """A shared memo reads the top size off the lookup table once a lower
-    prefix repeats; a fresh memo never does.  Both must give the same
-    (gf, rho) for every strategy of the family."""
-    shared = SubgameMemo()
-    s = None
+def test_lookup_route_equals_fresh_decomposition(monkeypatch, kind, n):
+    """``_evaluate`` reads every top size off its lower prefix's lookup
+    table; a fresh memo never does.  Both must give the same (gf, rho) for
+    every strategy of the family."""
+    built = {"chains": 0, "values": 0}
+    for name, key in (("_top_chains", "chains"), ("_top_values", "values")):
+        def counting(*args, _orig=getattr(analysis, name), _key=key):
+            built[_key] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(analysis, name, counting)
+    family = [s.components for s in strategies.enumerate_strategies(n, kind)]
+    assert analysis._evaluate(family) == [
+        analysis.decomposition_stats(strategies.Strategy(c)) for c in family
+    ]
+    # One V per lower prefix and one chain structure per distinct top,
+    # whether the top recurs (kept) or not; a lone decomposition builds
+    # neither.
+    assert built["values"] == (n > 1) * len({c[:-1] for c in family})
+    assert built["chains"] == (n > 1) * len({c[-1] for c in family})
+
+
+def _split_reps(kind, n):
+    reps = []
     for s in strategies.enumerate_strategies(n, kind):
-        assert analysis.decomposition_stats(s, shared) == analysis.decomposition_stats(s)
-    # The last prefix repeated (every family has several tops per prefix
-    # from n = 4), so its lookup table was built and used.
-    assert n < 4 or shared.top_lookup(s) is not None
-    # Chains are kept only for tops that recur under another prefix: never
-    # in an inductive family (one prefix) or for a lone strategy.
-    kept = [c for c in shared._chains.values() if c is not None]
-    assert bool(kept) == (kind != "inductive" and n >= 4)
-    lone = SubgameMemo()
-    analysis.decomposition_stats(s, lone)
-    assert not lone._chains
+        canonical = analysis._canonical(s, kind)
+        if canonical not in reps:
+            reps.append(canonical)
+    return reps
+
+
+@pytest.mark.parametrize("kind, n", [("cyclic", 5), ("deranged", 5), ("inductive", 6)])
+def test_evaluate_is_the_same_over_any_split(kind, n):
+    """Workers take contiguous runs of the representatives, which may cut a
+    prefix group and leave a top recurring in one run but not another;
+    every split must give the unsplit result."""
+    reps = _split_reps(kind, n)
+    whole = analysis._evaluate(reps)
+    group = sum(1 for c in reps if c[:-1] == reps[0][:-1])
+    rng = random.Random(5700 + n)
+    cuts = {0, 1, group // 2, group, len(reps) - 1, len(reps)}
+    cuts |= {rng.randrange(len(reps)) for _ in range(3)}
+    for cut in sorted(cuts):
+        assert analysis._evaluate(reps[:cut]) + analysis._evaluate(reps[cut:]) == whole
+    bounds = sorted(rng.sample(range(1, len(reps)), 4))
+    chunks = [reps[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(reps)])]
+    assert [r for chunk in chunks for r in analysis._evaluate(chunk)] == whole
 
 
 def _no_lock_chain(top, d):
@@ -288,6 +317,7 @@ def test_top_chains_are_prefix_independent(n):
     """T(d) = m(d) + V(y(d)) under every lower prefix, with m, y, the loop
     and no-lock counts taken once per top from ``_top_chains``."""
     rng = random.Random(4100 + n)
+    rank = {p: r for r, p in enumerate(perms.enumerate_perms(n))}
     tops = [
         strategies.cyclic_shift(n).top,
         strategies.cyclic_shift_left_top(n).top,
@@ -297,51 +327,70 @@ def test_top_chains_are_prefix_independent(n):
     for top in tops:
         chains = analysis._top_chains(top)
         ends = [_no_lock_chain(top, d) for d in analysis._derangements(n)]
-        reached = sorted(e for e in ends if e is not None)
-        assert sorted(zip(chains.lengths, chains.ends)) == reached
+        reached = sorted((m, rank[y]) for m, y in filter(None, ends))
+        ranked = [(m, y) for m, ends_m in enumerate(chains.ends, 1) for y in ends_m]
+        assert sorted(ranked) == reached
         assert chains.loops == ends.count(None)
-        assert chains.no_lock == ends.count((2, perms.identity(n)))
+        no_lock = ends.count((2, perms.identity(n)))
         for prefix in _prefixes(n, rng):
             s = strategies.Strategy(prefix + (top,))
             memo = SubgameMemo()
             analysis.decomposition_stats(s, memo)
-            lookup = memo.top_lookup(s)
+            values = analysis._top_values(n, memo.tables_up_to(s, n - 1))
             tables = SubgameMemo().tables_up_to(s, n)
             fresh = [
                 engine._chase(d, s.inverses, s.components, tables)
                 for d in analysis._derangements(n)
             ]
             for t, end in zip(fresh, ends):
-                assert t == (LOOPED if end is None else end[0] + lookup[end[1]])
-            looped = sum(lookup[y] == LOOPED for y in chains.ends)
+                if end is None or values[rank[end[1]]] == analysis.LOOPED_CODE:
+                    assert t == LOOPED
+                else:
+                    assert t == end[0] + values[rank[end[1]]]
+            looped = sum(values[y] == analysis.LOOPED_CODE for _, y in ranked)
             assert fresh.count(LOOPED) == chains.loops + looped
-            assert analysis.decomposition_stats(s)[1][3] == chains.no_lock
+            hist = {t: fresh.count(t) for t in fresh}
+            assert analysis._top_stats(top, values, chains) == hist
+            assert analysis.decomposition_stats(s)[1][3] == no_lock
 
 
-def test_memo_keeps_at_most_one_lookup_table():
-    analysis._composers.cache_clear()
+def test_memo_keeps_at_most_one_lookup_table(monkeypatch):
+    """The memo holds the lookup table of one lower prefix at a time: the
+    one ``_evaluate`` prepared for the group being evaluated.  A strategy
+    of another prefix ignores it and is evaluated in full."""
+    seen = []
+    decompose = analysis.decomposition_stats
+
+    def recording(strategy, memo=None):
+        seen.append((strategy.components[:-1], memo.lower))
+        return decompose(strategy, memo)
+
+    monkeypatch.setattr(analysis, "decomposition_stats", recording)
+    right = strategies.cyclic_shift(6).components[:-1]
+    other = ((1,), (2, 1), (3, 1, 2), (2, 3, 4, 1), (2, 3, 4, 5, 1))
+    tops = [(2, 3, 4, 5, 6, 1), (6, 1, 2, 3, 4, 5), (3, 1, 5, 2, 6, 4)]
+    reps = [right + (t,) for t in tops] + [other + (t,) for t in tops[:2]]
+    analysis._evaluate(reps)
+    for prefix, lower in seen:
+        assert lower.components == prefix and len(lower.values) == factorial(6)
+    tables = [lower.values for _, lower in seen]
+    assert tables[0] is tables[1] is tables[2] and tables[3] is tables[4]
+    assert tables[2] is not tables[3]
+    monkeypatch.undo()
     memo = SubgameMemo()
-    analysis.decomposition_stats(strategies.inductive((2, 3, 4, 5, 6, 1)), memo)
-    assert memo._lookup is None
-    assert analysis._composers.cache_info().currsize == 0
-    analysis.decomposition_stats(strategies.inductive((6, 1, 2, 3, 4, 5)), memo)
-    lookup = memo._lookup
-    assert lookup is not None and len(lookup) == factorial(6) - 265
-    assert analysis._composers.cache_info().currsize == 1
-    analysis.decomposition_stats(strategies.inductive((3, 1, 5, 2, 6, 4)), memo)
-    assert memo._lookup is lookup  # same lower prefix, same table
-    other = strategies.from_components(
-        [[1], [2, 1], [3, 1, 2], [2, 3, 4, 1], [2, 3, 4, 5, 1], [2, 3, 4, 5, 6, 1]]
-    )
-    analysis.decomposition_stats(other, memo)
-    assert memo._lookup is None and memo._lookup_prefix == other.components[:-1]
+    memo.lower = seen[0][1]  # prepared for ``right``
+    lone = strategies.Strategy(reps[3])
+    assert analysis.decomposition_stats(lone, memo) == analysis.decomposition_stats(lone)
+    assert memo.lower is seen[0][1]
 
 
 def test_single_strategy_builds_no_lookup():
-    analysis._composers.cache_clear()
+    """A lone strategy (``gf``, ``avg``) keeps the subgame-by-subgame top
+    pass: it builds no rank structure, which costs about 0.6 s at n = 9."""
+    analysis._ranks.cache_clear()
     analysis.generating_function(strategies.cyclic_shift(7))
     analysis.decomposition_stats(strategies.cyclic_shift(7), SubgameMemo())
-    assert analysis._composers.cache_info().currsize == 0
+    assert analysis._ranks.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

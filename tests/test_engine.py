@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from permwordle import closedform, engine, perms, strategies
+from permwordle import analysis, closedform, engine, perms, strategies
 from permwordle.engine import LOOPED, SubgameMemo
 
 CS4 = strategies.cyclic_shift(4)
@@ -175,29 +175,45 @@ def _lookup_prefixes(k):
 
 @pytest.mark.parametrize("k", range(3, 8))
 def test_top_lookup_is_relative_derangement_then_lower_table(k):
-    """V(x) = T(rd(x)) from the lower tables, with V(identity) = 0, for
-    exactly the k! - D_k permutations of size k that have a fixed point."""
+    """V(x) = T(rd(x)) from the lower tables, with V(identity) = 0 and
+    LOOPED as the byte 255, at the lexicographic rank of each of the
+    k! - D_k permutations of size k that have a fixed point."""
     with_fixed_point = {p for p in perms.enumerate_perms(k) if not perms.is_derangement(p)}
     assert len(with_fixed_point) == factorial(k) - closedform.derangement_count(k)
+    looped = 0
     for s in _lookup_prefixes(k):
         memo = SubgameMemo()
         for size in range(2, k):
             for d in perms.enumerate_perms(size, "derangements"):
                 engine.subgame_guesses(d, s, memo)
-        assert memo.top_lookup(s) is None  # first sight of the prefix
-        lookup = memo.top_lookup(s)
-        assert set(lookup) == with_fixed_point
-        for x, value in lookup.items():
-            rd = engine.relative_derangement(x)
-            assert value == (memo.table(s, len(rd))[rd] if rd else 0)
+        values = analysis._top_values(k, memo.tables_up_to(s, k - 1))
+        assert len(values) == factorial(k)
+        for x, value in zip(perms.enumerate_perms(k), values):
+            if x in with_fixed_point:
+                rd = engine.relative_derangement(x)
+                t = memo.table(s, len(rd))[rd] if rd else 0
+                assert value == (analysis.LOOPED_CODE if t == LOOPED else t)
+                looped += t == LOOPED
+    # Only the swap prefix (k = 5) loops: 4 size-4 subgames at C(5, 4)
+    # position sets each.
+    assert looped == (20 if k == 5 else 0)
 
 
 def test_top_lookup_refuses_incomplete_lower_tables():
     memo = SubgameMemo()
     engine.subgame_guesses((2, 1, 4, 3), CS5, memo)
-    assert memo.top_lookup(CS5) is None
     with pytest.raises(ValueError):
-        memo.top_lookup(CS5)
+        analysis._top_values(5, memo.tables_up_to(CS5, 4))
+
+
+def test_top_lookup_refuses_a_finite_value_at_the_looped_code():
+    """V stores T as one byte with LOOPED as 255, so a finite T of 255 or
+    more is refused rather than wrapped or read back as LOOPED."""
+    assert analysis._top_values(3, {2: {(2, 1): 254}})[0:2] == bytes([0, 254])
+    assert analysis._top_values(3, {2: {(2, 1): LOOPED}}).count(255) == 3
+    for t in (255, 256, 1000):
+        with pytest.raises(ValueError):
+            analysis._top_values(3, {2: {(2, 1): t}})
 
 
 def test_subgame_examples():
