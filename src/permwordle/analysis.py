@@ -13,7 +13,8 @@ first-hit-class counts, each as one (gf, rho) pair from one pass:
 The two pairs must agree everywhere; tests enforce it.  Scans use the
 decomposition with a memo shared across strategies that agree on component
 prefixes, which is what makes family-wide sweeps cheap, and evaluate only
-one strategy per rotation or mirror orbit (``_canonical``).  At the top size
+one strategy per rotation or mirror orbit (``_orbit_map``, checked against
+the unshortened ``_canonical``).  At the top size
 a scan reads T(d) = m(d) + V(y(d)): V is the rank-indexed lookup table of
 the lower prefix and m, y come from the no-lock chains of the top component
 (``_top_chains``), which serve it under every lower prefix.
@@ -31,7 +32,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, inf
 from typing import Iterable, NamedTuple
 
@@ -399,48 +400,110 @@ class ScanSummary:
     min_a3: ExtremeSet
 
 
+OrbitStats = tuple[GFCoefficients, dict[int, int], Fraction | float]  # (gf, rho, average)
+
+
 @dataclass(frozen=True)
 class ScanResult:
+    """A family's scan, kept per orbit: the text of every member in
+    enumeration order, each member's orbit number and each orbit's stats.
+    ``rows`` builds one ``ScanRow`` per member on first use."""
+
     n: int
     kind: str
-    rows: tuple[ScanRow, ...]
+    texts: list[str]
+    orbits: list[int]
+    stats: list[OrbitStats]
     summary: ScanSummary
 
+    @cached_property
+    def rows(self) -> tuple[ScanRow, ...]:
+        # Orbit members share the frozen gf and its average; each row gets
+        # its own rho dict.
+        n, stats = self.n, self.stats
+        return tuple(
+            ScanRow(index, text, n, stats[orbit][0], stats[orbit][2], dict(stats[orbit][1]))
+            for index, (text, orbit) in enumerate(zip(self.texts, self.orbits))
+        )
 
-def _summarize(rows: tuple[ScanRow, ...]) -> ScanSummary:
-    def extreme(key, pick) -> ExtremeSet:
-        best = pick(key(row) for row in rows)
-        ids = tuple(row.strategy_id for row in rows if key(row) == best)
-        return ExtremeSet(best, ids)
 
+def _summarize(texts: list[str], orbits: list[int], stats: list[OrbitStats]) -> ScanSummary:
+    """The extrema over the orbits' values; the attainers are then listed
+    member by member, in scan order."""
+
+    def extreme(values: list, pick) -> ExtremeSet:
+        best = pick(values)
+        attains = [value == best for value in values]
+        return ExtremeSet(best, tuple(itertools.compress(texts, map(attains.__getitem__, orbits))))
+
+    a3 = [gf.coefficient(3) for gf, _, _ in stats]
     return ScanSummary(
-        min_average=extreme(lambda r: r.average, min),
-        max_a3=extreme(lambda r: r.a3, max),
-        min_a3=extreme(lambda r: r.a3, min),
+        min_average=extreme([average for _, _, average in stats], min),
+        max_a3=extreme(a3, max),
+        min_a3=extreme(a3, min),
+    )
+
+
+def _rotations(top: Perm) -> Iterable[Perm]:
+    """The n conjugates r^j top r^-j of ``top``, with r the rotation
+    i -> i+1 mod n: r^j top r^-j sends i + j to top(i) + j, mod n."""
+    n = len(top)
+    return (
+        tuple((top[(i - j) % n] + j - 1) % n + 1 for i in range(n)) for j in range(n)
     )
 
 
 def _canonical(strategy: Strategy, kind: str) -> tuple[Perm, ...]:
     """Components of the representative of ``strategy``'s symmetry orbit,
     whose members all share one generating function and first-hit split
-    (README "Reflection ties").
+    (README "Reflection ties").  This is the unshortened reference for
+    ``_orbit_map``.
 
     Inductive: the lower components plus the least of the n conjugates
-    r^j top r^-j of the top, with r the rotation i -> i+1 mod n.  Cyclic and
-    deranged: the lesser of the components and those of the mirror.  For
-    n >= 3 that is the one with s_3 = (2, 3, 1), so the representatives are
-    the first half of the enumeration.
+    r^j top r^-j of the top.  Cyclic and deranged: the lesser of the
+    components and those of the mirror.  For n >= 3 that is the one with
+    s_3 = (2, 3, 1), so the representatives are the first half of the
+    enumeration.
     """
     comps = strategy.components
     if kind == "inductive":
-        n, top = strategy.n, strategy.top
-        # r^j top r^-j sends i + j to top(i) + j, mod n.
-        conjugates = (
-            tuple((top[(i - j) % n] + j - 1) % n + 1 for i in range(n))
-            for j in range(n)
-        )
-        return comps[:-1] + (min(conjugates),)
+        return comps[:-1] + (min(_rotations(strategy.top)),)
     return min(comps, tuple(map(strategies.mirror_component, comps)))
+
+
+def _orbit_map(n: int, kind: str) -> tuple[list[int], list[tuple[Perm, ...]]]:
+    """Each member's orbit number and each orbit's representative, as
+    numbering ``_canonical`` of every member in first-seen order gives
+    them, but without a ``Strategy`` or a ``_canonical`` per member.
+
+    Inductive: tops run in lexicographic order and conjugates of an n-cycle
+    are n-cycles, so an orbit's first member has its least top and is its
+    representative; its n conjugates are computed then, once per orbit.
+    Cyclic and deranged, n >= 3: the representatives are the first half of
+    the enumeration (s_3 = (2, 3, 1)), each its own orbit.  A second-half
+    member's orbit is the index of its mirror, whose mixed-radix digit for
+    each size is the mirror position of the member's digit in that pool;
+    the mirror's s_3 digit is 0.
+    """
+    pools = strategies.component_pools(n, kind)
+    if kind == "inductive":
+        lower = tuple(pool[0] for pool in pools[:-1])
+        orbit_of: dict[Perm, int] = {}
+        reps = []
+        for top in pools[-1]:
+            if top not in orbit_of:
+                orbit_of.update(dict.fromkeys(_rotations(top), len(reps)))
+                reps.append(lower + (top,))
+        return list(map(orbit_of.__getitem__, pools[-1])), reps
+    if n < 3:
+        return [0], list(itertools.product(*pools))
+    reps = list(itertools.product(*pools[:2], pools[2][:1], *pools[3:]))
+    mirrors = [0]
+    for pool in pools[3:]:
+        position = {c: i for i, c in enumerate(pool)}
+        table = [position[strategies.mirror_component(c)] for c in pool]
+        mirrors = [len(pool) * index + digit for index in mirrors for digit in table]
+    return list(range(len(reps))) + mirrors, reps
 
 
 def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
@@ -466,6 +529,11 @@ def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
     return out
 
 
+def _evaluate_orbits(reps: list[tuple[Perm, ...]]) -> list[OrbitStats]:
+    """``_evaluate`` with each average: a scan worker's per-orbit stats."""
+    return [(gf, rho, average_guesses(gf)) for gf, rho in _evaluate(reps)]
+
+
 def scan(
     n: int,
     kind: str,
@@ -473,39 +541,28 @@ def scan(
     jobs: int = 1,
     max_cost: int = DEFAULT_MAX_COST,
 ) -> ScanResult:
-    """One row per strategy in the family, in enumeration order, plus the
-    extrema summary.  Oversized scans are refused up front with the work
-    estimate.
+    """Every strategy in the family, in enumeration order, with its orbit's
+    stats, plus the extrema summary.  Oversized scans are refused up front
+    with the work estimate.
 
-    Only one strategy per symmetry orbit (``_canonical``) is evaluated;
-    every member's row is built from its representative's result.  Workers
-    own private memos and take contiguous runs of the representatives, so
-    results are identical for any parallelism degree."""
+    Only one strategy per symmetry orbit (``_orbit_map``) is evaluated, and
+    the summary is folded over the orbits.  Workers own private memos and
+    take contiguous runs of the representatives, so results are identical
+    for any parallelism degree."""
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     check_scan_cost(n, kind, max_cost)
-    # A member keeps only its text and orbit number (orbits numbered in
-    # first-seen order), not its Strategy, so memory stays near the rows'.
-    orbits: dict[tuple[Perm, ...], int] = {}
-    family = [
-        (s.text, orbits.setdefault(_canonical(s, kind), len(orbits)))
-        for s in strategies.enumerate_strategies(n, kind)
-    ]
-    reps = list(orbits)
+    orbits, reps = _orbit_map(n, kind)
     if jobs > 1 and len(reps) >= 4 * jobs:
+        if 1 < n <= MAX_RANKED:
+            _ranks(n)  # built once here and shared by the forked workers
         bounds = [len(reps) * i // jobs for i in range(jobs + 1)]
         with multiprocessing.Pool(jobs) as pool:
             chunks = pool.map(
-                _evaluate, [reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+                _evaluate_orbits, [reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             )
         stats = list(itertools.chain.from_iterable(chunks))
     else:
-        stats = _evaluate(reps)
-    averages = [average_guesses(gf) for gf, _ in stats]
-    # Orbit members share the frozen gf and its average; each row gets its
-    # own rho dict.
-    rows = tuple(
-        ScanRow(index, text, n, stats[orbit][0], averages[orbit], dict(stats[orbit][1]))
-        for index, (text, orbit) in enumerate(family)
-    )
-    return ScanResult(n, kind, rows, _summarize(rows))
+        stats = _evaluate_orbits(reps)
+    texts = strategies.strategy_texts(n, kind)
+    return ScanResult(n, kind, texts, orbits, stats, _summarize(texts, orbits, stats))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -224,28 +225,24 @@ def cmd_avg(args) -> int:
 
 
 def _scan_csv(result: ScanResult) -> str:
-    width = max(row.gf.max_guesses for row in result.rows)
+    """One line per member; each orbit's numeric columns are formatted
+    once and joined to each of its members' ids, with no ``ScanRow``."""
+    width = max(gf.max_guesses for gf, _, _ in result.stats)
     header = ["strategy_id", "n"]
     header += [f"a_{r}" for r in range(1, width + 1)]
     header += ["loops", "avg_num", "avg_den", "rho1", "rho2", "rho3"]
-    lines = []
-    for row in result.rows:
-        avg = row.average
-        num, den = (avg.numerator, avg.denominator) if isinstance(avg, Fraction) else ("", "")
-        lines.append(
-            [
-                row.strategy_id,
-                row.n,
-                *(row.gf.coefficient(r) for r in range(1, width + 1)),
-                row.gf.loop_count,
-                num,
-                den,
-                row.rho[1],
-                row.rho[2],
-                row.rho[3],
-            ]
-        )
-    return _csv_text(header, lines)
+    tails = []
+    for gf, rho, avg in result.stats:
+        coeffs = map(gf.coeffs.get, range(1, width + 1), itertools.repeat(0))
+        # The average is infinite exactly when some secret loops.
+        average = ("", "") if gf.loop_count else (avg.numerator, avg.denominator)
+        fields = [result.n, *coeffs, gf.loop_count, *average, rho[1], rho[2], rho[3]]
+        tails.append(",".join(map(str, fields)))
+    # An id holds only digits, commas and semicolons, so the csv module
+    # would quote it exactly when it holds a comma.
+    ids = [f'"{text}"' if "," in text else text for text in result.texts]
+    lines = map(",".join, zip(ids, map(tails.__getitem__, result.orbits)))
+    return _csv_text(header, []) + "\n".join(lines) + "\n"
 
 
 def _extreme_json(extreme: analysis.ExtremeSet) -> dict:

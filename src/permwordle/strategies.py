@@ -147,6 +147,23 @@ def mirror(strategy: Strategy) -> Strategy:
     return Strategy(comps, kind)
 
 
+def component_pools(n: int, kind: str) -> list[list[Perm]]:
+    """The choices for each component s_1..s_n of the family, each pool in
+    lexicographic order; the family is their product."""
+    if kind == "inductive":
+        if n < 3:
+            raise ValueError("inductive strategies need length at least 3")
+        tops = list(perms.enumerate_perms(n, "cyclic"))
+        return [[_shift_right(k)] for k in range(1, n)] + [tops]
+    if kind not in ("cyclic", "deranged"):
+        raise ValueError(f"unknown strategy class {kind!r}")
+    if n < 1:
+        raise ValueError("a strategy must have length at least 1")
+    # s_2 = (2, 1) is both the only 2-cycle and the only derangement.
+    perm_kind = "cyclic" if kind == "cyclic" else "derangements"
+    return [[(1,)]] + [list(perms.enumerate_perms(i, perm_kind)) for i in range(2, n + 1)]
+
+
 def enumerate_strategies(n: int, kind: str) -> Iterator[Strategy]:
     """Yield every strategy of the family exactly once, deterministically.
 
@@ -154,25 +171,15 @@ def enumerate_strategies(n: int, kind: str) -> Iterator[Strategy]:
     components varying fastest.  Counts: inductive (n-1)!, cyclic
     prod (i-1)! for i = 3..n, deranged prod D_i for i = 3..n.
     """
-    if kind == "inductive":
-        if n < 3:
-            raise ValueError("inductive strategies need length at least 3")
-        lower = tuple(_shift_right(k) for k in range(1, n))
-        for top in perms.enumerate_perms(n, "cyclic"):
-            yield Strategy(lower + (top,), "inductive")
-        return
-    if kind not in ("cyclic", "deranged"):
-        raise ValueError(f"unknown strategy class {kind!r}")
-    if n < 1:
-        raise ValueError("a strategy must have length at least 1")
-    if n == 1:
-        yield Strategy(((1,),), kind)
-        return
-    base = ((1,), (2, 1))
-    perm_kind = "cyclic" if kind == "cyclic" else "derangements"
-    pools = [list(perms.enumerate_perms(i, perm_kind)) for i in range(3, n + 1)]
-    for tail in itertools.product(*pools):
-        yield Strategy(base + tail, kind)
+    for comps in itertools.product(*component_pools(n, kind)):
+        yield Strategy(comps, kind)
+
+
+def strategy_texts(n: int, kind: str) -> list[str]:
+    """The text of every strategy of the family, in enumeration order, from
+    each component's text, with no ``Strategy`` per member."""
+    parts = [list(map(_component_text, pool)) for pool in component_pools(n, kind)]
+    return list(map(";".join, itertools.product(*parts)))
 
 
 def count_strategies(n: int, kind: str) -> int:

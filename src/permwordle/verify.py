@@ -312,20 +312,29 @@ def _avg_optimality_row(n: int, result: ScanResult):
 def _scan_symmetry_row(n: int, result: ScanResult):
     """A scan evaluates one strategy per rotation (inductive) or mirror
     (cyclic, deranged) orbit and builds the other rows from it; every row
-    must equal the one its own strategy's decomposition gives."""
+    must equal the one its own strategy's decomposition gives, and every
+    member's orbit number the one that numbering ``_canonical`` of each
+    member in first-seen order gives."""
     members = list(strategies.enumerate_strategies(n, result.kind))
     # Every member, not just its orbit's representative, through the same
     # per-prefix evaluation as the scan.
     stats = analysis._evaluate([s.components for s in members])
+    canonical: dict = {}
+    orbits = [
+        canonical.setdefault(analysis._canonical(s, result.kind), len(canonical))
+        for s in members
+    ]
     bad = []
-    for index, (row, strategy, (gf, rho)) in enumerate(zip(result.rows, members, stats)):
+    for index, (row, strategy, (gf, rho), orbit, own_orbit) in enumerate(
+        zip(result.rows, members, stats, result.orbits, orbits)
+    ):
         own = (index, strategy.text, gf, analysis.average_guesses(gf), rho)
-        if (row.index, row.strategy_id, row.gf, row.average, row.rho) != own:
+        if (row.index, row.strategy_id, row.gf, row.average, row.rho) != own or orbit != own_orbit:
             bad.append(strategy.text)
     mismatches = len(bad) + abs(len(result.rows) - len(members))
     observed = {
         "strategies": len(members),
-        "evaluated": len({analysis._canonical(s, result.kind) for s in members}),
+        "evaluated": len(canonical),
         "mismatches": mismatches,
     }
     if bad:

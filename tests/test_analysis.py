@@ -151,6 +151,26 @@ def test_scan_parallel_matches_serial_over_mirror_orbits(kind):
     serial = analysis.scan(5, kind, jobs=1)
     parallel = analysis.scan(5, kind, jobs=2)
     assert serial == parallel
+    assert serial.rows == parallel.rows
+    assert serial.rows is serial.rows  # built once, on first use
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("cyclic", n) for n in range(1, 7)]
+    + [("deranged", n) for n in range(1, 6)]
+    + [("inductive", n) for n in range(3, 9)],
+)
+def test_orbit_map_equals_canonical_numbering(kind, n):
+    """The orbit map by index arithmetic gives each member the orbit number
+    and each orbit the representative that numbering ``_canonical`` of
+    every member in first-seen order gives."""
+    reference = {}
+    orbits = [
+        reference.setdefault(analysis._canonical(s, kind), len(reference))
+        for s in strategies.enumerate_strategies(n, kind)
+    ]
+    assert analysis._orbit_map(n, kind) == (orbits, list(reference))
 
 
 @pytest.mark.parametrize(

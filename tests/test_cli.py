@@ -10,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from permwordle import cli
+from permwordle import analysis, cli
 from permwordle.verify import VerificationReport
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -173,6 +173,16 @@ def test_scan_csv_bytes_are_pinned(capsys, kind, n, jobs):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_CSV_SHA256[kind, n, jobs]
+
+
+def test_scan_csv_builds_no_rows(capsys, monkeypatch):
+    """The CSV writer formats each orbit once and builds no ``ScanRow``."""
+    built = []
+    monkeypatch.setattr(analysis, "ScanRow", lambda *fields: built.append(fields))
+    code = cli.main(["scan", "--n", "5", "--class", "cyclic", "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 288
+    assert built == []
 
 
 def test_scan_json_schema(capsys):

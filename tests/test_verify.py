@@ -170,14 +170,15 @@ def test_scan_symmetry_small(cache):
 def test_scan_symmetry_fails_on_a_wrong_orbit_map(monkeypatch):
     """Send every inductive top to the right shift: the copied rows then
     disagree with per-strategy decomposition and the check must fail."""
-    canonical = analysis._canonical
+    orbit_map = analysis._orbit_map
 
-    def wrong(strategy, kind):
+    def wrong(n, kind):
         if kind == "inductive":
-            return strategies.cyclic_shift(strategy.n).components
-        return canonical(strategy, kind)
+            members = strategies.count_strategies(n, kind)
+            return [0] * members, [strategies.cyclic_shift(n).components]
+        return orbit_map(n, kind)
 
-    monkeypatch.setattr(analysis, "_canonical", wrong)
+    monkeypatch.setattr(analysis, "_orbit_map", wrong)
     report = verify("scan-symmetry", (4, 5), cache=ScanCache(jobs=1))
     assert report.status == "fail"
     failed = {(row["label"], row["n"]) for row in report.rows if not row["ok"]}
