@@ -37,7 +37,7 @@ from math import comb, factorial, inf
 from typing import Iterable, NamedTuple
 
 from . import closedform, perms, strategies
-from .engine import LOOPED, SubgameMemo, Tables, _chase, solve_rounds, successor
+from .engine import LOOPED, SubgameMemo, Tables, _chase, _game, successor
 from .perms import Perm
 from .strategies import Strategy
 
@@ -289,16 +289,18 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
 
 def gf_playback(strategy: Strategy) -> Stats:
     """Generating function and first-hit-class counts, as from
-    ``decomposition_stats``, by playing out every one of the n! secrets."""
+    ``decomposition_stats``, by playing out every one of the n! secrets
+    (permutations by construction, so the game loop runs unvalidated)."""
     n = strategy.n
     coeffs: dict[int, int] = {}
     loops = 0
     rho = {1: 0, 2: 0, 3: 0}
     for secret in perms.enumerate_perms(n):
-        r, first_hit = solve_rounds(secret, strategy)
-        if r == LOOPED:
+        guesses, first_hit, solved = _game(secret, strategy)
+        if not solved:
             loops += 1
         else:
+            r = len(guesses)
             coeffs[r] = coeffs.get(r, 0) + 1
             if r == 3:
                 rho[first_hit] += 1

@@ -20,8 +20,9 @@ full game on secret pi takes 1 + T(relative_derangement(pi)) guesses.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import perms
 from .perms import Perm
@@ -52,21 +53,40 @@ def feedback(guess: Perm, secret: Perm) -> frozenset[int]:
     return hits
 
 
+def _mover(strategy: Strategy, mask: tuple[bool, ...]) -> Callable[[Perm], Perm]:
+    """The next-guess map for every guess whose incorrect positions are the
+    True entries of ``mask``: an ``itemgetter`` that moves the value at p_j
+    to p_sigma(j) and keeps the locked positions.  The move depends on
+    nothing else, so each strategy caches one per mask (at most 2^n).
+    ``mask`` has length n and at least two True entries."""
+    getter = strategy.movers.get(mask)
+    if getter is None:
+        wrong = [q for q, w in enumerate(mask) if w]
+        sigma = strategy.component(len(wrong))
+        source = list(range(len(mask)))
+        for j, q in enumerate(wrong):
+            source[wrong[sigma[j] - 1]] = q
+        getter = strategy.movers[mask] = operator.itemgetter(*source)
+    return getter
+
+
 def next_guess(current: Perm, correct: Iterable[int], strategy: Strategy) -> Perm:
     """Lock the correct positions and permute the rest by the k-component."""
     n = len(current)
+    if n != strategy.n:
+        raise ValueError(
+            f"guess length {n} differs from strategy length {strategy.n}"
+        )
     locked = set(correct)
-    wrong = [i for i in range(1, n + 1) if i not in locked]
-    k = len(wrong)
+    outside = sorted(i for i in locked if not 1 <= i <= n)
+    if outside:
+        raise ValueError(f"correct positions {outside} are outside 1..{n}")
+    k = n - len(locked)
     if k == 0:
         raise ValueError("game already solved; no next guess exists")
     if k == 1:
         raise ValueError("exactly one incorrect position is impossible")
-    sigma = strategy.component(k)
-    out = list(current)
-    for j, pos in enumerate(wrong):
-        out[wrong[sigma[j] - 1] - 1] = current[pos - 1]
-    return tuple(out)
+    return _mover(strategy, tuple(i not in locked for i in range(1, n + 1)))(current)
 
 
 @dataclass(frozen=True)
@@ -104,33 +124,42 @@ def _game(secret: Perm, strategy: Strategy) -> tuple[list[Perm], int | None, boo
     """The guesses, the round of the first non-empty correct set (or None),
     and whether the game was solved.  For a fixed secret the correct set is
     a function of the guess, so a repeated guess (the last one returned)
-    proves the deterministic process can never solve."""
+    proves the deterministic process can never solve.  The secret must be
+    a permutation; each round is one pass for the incorrect-position mask
+    and one cached mover."""
     n = len(secret)
     if n != strategy.n:
         raise ValueError(
             f"secret length {n} differs from strategy length {strategy.n}"
         )
+    movers = strategy.movers
     guesses: list[Perm] = []
     seen: set[Perm] = set()
     first_hit = None
     current = perms.identity(n)
     while True:
-        hits = feedback(current, secret)
+        key = tuple(map(operator.ne, current, secret))
+        k = key.count(True)
+        if k == 1:
+            raise ValueError(
+                "guess and secret disagree in exactly one position, so they "
+                "are not permutations of the same set"
+            )
         guesses.append(current)
-        if first_hit is None and hits:
+        if first_hit is None and k < n:
             first_hit = len(guesses)
-        if len(hits) == n:
+        if k == 0:
             return guesses, first_hit, True
         if current in seen:
             return guesses, first_hit, False
         seen.add(current)
-        current = next_guess(current, hits, strategy)
+        current = (movers.get(key) or _mover(strategy, key))(current)
 
 
 def play(secret: Perm, strategy: Strategy) -> GameTrace:
     """Play a full game from the identity guess until solved or a guess
     repeats, keeping every guess and correct set (the traced oracle)."""
-    secret = tuple(secret)
+    secret = perms.validate(secret)
     guesses, _, solved = _game(secret, strategy)
     sets = tuple(feedback(guess, secret) for guess in guesses)
     return GameTrace(secret, tuple(guesses), sets, "solved" if solved else "looped")
@@ -139,7 +168,7 @@ def play(secret: Perm, strategy: Strategy) -> GameTrace:
 def solve_rounds(secret: Perm, strategy: Strategy) -> tuple[int | float, int | None]:
     """(Guess count or LOOPED, round of the first hit or None) for a full
     game; no trace is materialized."""
-    guesses, first_hit, solved = _game(secret, strategy)
+    guesses, first_hit, solved = _game(perms.validate(secret), strategy)
     return (len(guesses) if solved else LOOPED), first_hit
 
 

@@ -58,6 +58,12 @@ class Strategy:
         return tuple(perms.invert(c) for c in self.components)
 
     @cached_property
+    def movers(self) -> dict:
+        """Playback's position movers, keyed by the incorrect-position mask
+        (filled by ``engine._mover``); at most 2^n entries."""
+        return {}
+
+    @cached_property
     def text(self) -> str:
         return format_strategy(self)
 

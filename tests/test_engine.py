@@ -113,6 +113,87 @@ def test_trace_invariants(n):
             )
 
 
+def _reference_next_guess(current, correct, strategy):
+    """The move rule one position at a time, with no cached mover: with the
+    incorrect positions p_1 < ... < p_k and sigma = s_k, the value at p_j
+    moves to p_sigma(j)."""
+    wrong = [i for i in range(1, len(current) + 1) if i not in correct]
+    sigma = strategy.component(len(wrong))
+    out = list(current)
+    for j, pos in enumerate(wrong):
+        out[wrong[sigma[j] - 1] - 1] = current[pos - 1]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_play_traces_follow_the_reference_move_rule(n):
+    for s in strategies.enumerate_strategies(n, "deranged"):
+        for secret in perms.enumerate_perms(n):
+            trace = engine.play(secret, s)
+            for r in range(len(trace.guesses) - 1):
+                assert trace.guesses[r + 1] == _reference_next_guess(
+                    trace.guesses[r], trace.correct_sets[r], s
+                )
+
+
+def _move_rule_strategies(n):
+    rng = random.Random(1300 + n)
+    pools = strategies.component_pools(n, "deranged")
+    out = [strategies.cyclic_shift(n)]
+    if n >= 3:
+        out.append(strategies.cyclic_shift_left_top(n))
+    out += [strategies.from_components(rng.choice(p) for p in pools) for _ in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_next_guess_matches_the_reference_for_every_mask(n):
+    rng = random.Random(n)
+    currents = [perms.identity(n), tuple(rng.sample(range(1, n + 1), n))]
+    for s in _move_rule_strategies(n):
+        for k in range(2, n + 1):
+            for wrong in itertools.combinations(range(1, n + 1), k):
+                correct = set(range(1, n + 1)) - set(wrong)
+                for current in currents:
+                    assert engine.next_guess(current, correct, s) == (
+                        _reference_next_guess(current, correct, s)
+                    )
+
+
+def test_mover_cache_is_bounded_and_per_strategy():
+    n = 6
+    strats = _move_rule_strategies(n)
+    assert len({s.components for s in strats}) == len(strats)
+    for s in strats:
+        analysis.gf_playback(s)
+        assert 0 < len(s.movers) <= 2**n
+        assert all(len(mask) == n and mask.count(True) >= 2 for mask in s.movers)
+    for a, b in itertools.combinations(strats, 2):
+        assert a.movers is not b.movers
+        assert {id(g) for g in a.movers.values()}.isdisjoint(
+            id(g) for g in b.movers.values()
+        )
+
+
+def test_play_and_solve_rounds_refuse_a_non_permutation_secret():
+    cs3 = strategies.cyclic_shift(3)
+    for secret in [(2, 2, 2), (1, 2, 4), (0, 1, 2)]:
+        with pytest.raises(ValueError):
+            engine.solve_rounds(secret, cs3)
+        with pytest.raises(ValueError):
+            engine.play(secret, cs3)
+
+
+def test_next_guess_refuses_positions_outside_the_guess():
+    cs3 = strategies.cyclic_shift(3)
+    for correct in [{0}, {3, 4}, {-1, 1}]:
+        with pytest.raises(ValueError, match="outside"):
+            engine.next_guess((1, 2, 3), correct, cs3)
+    # A guess of another length than the strategy is refused too.
+    with pytest.raises(ValueError):
+        engine.next_guess((1, 2, 3), set(), CS4)
+
+
 def test_rho_examples():
     assert engine.play((1, 2, 3, 4), CS4).first_hit == 1
     assert engine.play((2, 1, 4, 3), CS4).first_hit == 2
