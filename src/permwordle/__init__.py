@@ -12,7 +12,6 @@ from .analysis import (
     GFCoefficients,
     ScanCostError,
     ScanResult,
-    ScanRow,
     average_guesses,
     average_j2_over_derangements,
     generating_function,
@@ -54,7 +53,6 @@ __all__ = [
     "ScanCache",
     "ScanCostError",
     "ScanResult",
-    "ScanRow",
     "Strategy",
     "SubgameMemo",
     "VerificationReport",

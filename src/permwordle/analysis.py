@@ -32,7 +32,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, inf
 from typing import Iterable, NamedTuple
 
@@ -374,20 +374,6 @@ def check_scan_cost(n: int, kind: str, max_cost: int) -> None:
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    index: int
-    strategy_id: str
-    n: int
-    gf: GFCoefficients
-    average: Fraction | float
-    rho: dict[int, int]
-
-    @property
-    def a3(self) -> int:
-        return self.gf.coefficient(3)
-
-
-@dataclass(frozen=True)
 class ExtremeSet:
     """An extreme value and every strategy attaining it, in scan order."""
 
@@ -409,7 +395,7 @@ OrbitStats = tuple[GFCoefficients, dict[int, int], Fraction | float]  # (gf, rho
 class ScanResult:
     """A family's scan, kept per orbit: the text of every member in
     enumeration order, each member's orbit number and each orbit's stats.
-    ``rows`` builds one ``ScanRow`` per member on first use."""
+    Member i is ``texts[i]`` with the stats ``stats[orbits[i]]``."""
 
     n: int
     kind: str
@@ -418,15 +404,10 @@ class ScanResult:
     stats: list[OrbitStats]
     summary: ScanSummary
 
-    @cached_property
-    def rows(self) -> tuple[ScanRow, ...]:
-        # Orbit members share the frozen gf and its average; each row gets
-        # its own rho dict.
-        n, stats = self.n, self.stats
-        return tuple(
-            ScanRow(index, text, n, stats[orbit][0], stats[orbit][2], dict(stats[orbit][1]))
-            for index, (text, orbit) in enumerate(zip(self.texts, self.orbits))
-        )
+
+def flagged_members(texts: list[str], orbits: list[int], flags: list[bool]) -> tuple[str, ...]:
+    """The texts of the members whose orbit is flagged, in scan order."""
+    return tuple(itertools.compress(texts, map(flags.__getitem__, orbits)))
 
 
 def _summarize(texts: list[str], orbits: list[int], stats: list[OrbitStats]) -> ScanSummary:
@@ -435,8 +416,7 @@ def _summarize(texts: list[str], orbits: list[int], stats: list[OrbitStats]) -> 
 
     def extreme(values: list, pick) -> ExtremeSet:
         best = pick(values)
-        attains = [value == best for value in values]
-        return ExtremeSet(best, tuple(itertools.compress(texts, map(attains.__getitem__, orbits))))
+        return ExtremeSet(best, flagged_members(texts, orbits, [value == best for value in values]))
 
     a3 = [gf.coefficient(3) for gf, _, _ in stats]
     return ScanSummary(

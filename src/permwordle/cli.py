@@ -125,6 +125,10 @@ def _average_json(avg) -> dict | None:
     return None  # infinite average: the strategy loops on some secret
 
 
+def _average_text(avg) -> str:
+    return str(avg) if isinstance(avg, Fraction) else "inf"
+
+
 # ---------------------------------------------------------------------------
 # play
 
@@ -226,7 +230,7 @@ def cmd_avg(args) -> int:
 
 def _scan_csv(result: ScanResult) -> str:
     """One line per member; each orbit's numeric columns are formatted
-    once and joined to each of its members' ids, with no ``ScanRow``."""
+    once and joined to each of its members' ids."""
     width = max(gf.max_guesses for gf, _, _ in result.stats)
     header = ["strategy_id", "n"]
     header += [f"a_{r}" for r in range(1, width + 1)]
@@ -255,18 +259,23 @@ def _extreme_json(extreme: analysis.ExtremeSet) -> dict:
 
 
 def _scan_json(result: ScanResult) -> dict:
+    """One object per member: each orbit's fields are built once and
+    joined to each of its members' ids."""
+    fields = [
+        {
+            "coeffs": _coeffs_json(gf),
+            "loops": gf.loop_count,
+            "average": _average_json(avg),
+            "rho": {str(i): rho[i] for i in (1, 2, 3)},
+        }
+        for gf, rho, avg in result.stats
+    ]
     return {
         "n": result.n,
         "class": result.kind,
         "rows": [
-            {
-                "strategy": row.strategy_id,
-                "coeffs": _coeffs_json(row.gf),
-                "loops": row.gf.loop_count,
-                "average": _average_json(row.average),
-                "rho": {str(i): row.rho[i] for i in (1, 2, 3)},
-            }
-            for row in result.rows
+            {"strategy": text, **fields[orbit]}
+            for text, orbit in zip(result.texts, result.orbits)
         ],
         "summary": {
             "min_average": _extreme_json(result.summary.min_average),
@@ -283,17 +292,15 @@ def cmd_scan(args) -> int:
     elif args.format == "csv":
         out = _scan_csv(result)
     else:
-        lines = [f"scan n={result.n} class={result.kind}: {len(result.rows)} strategies"]
-        for row in result.rows:
-            avg = str(row.average) if isinstance(row.average, Fraction) else "inf"
-            lines.append(
-                f"  {row.strategy_id}  coeffs={row.gf.as_tuple()}"
-                f"  loops={row.gf.loop_count}  avg={avg}"
-                f"  rho={row.rho[1]},{row.rho[2]},{row.rho[3]}"
-            )
+        tails = [
+            f"  coeffs={gf.as_tuple()}  loops={gf.loop_count}  avg={_average_text(avg)}"
+            f"  rho={rho[1]},{rho[2]},{rho[3]}"
+            for gf, rho, avg in result.stats
+        ]
+        lines = [f"scan n={result.n} class={result.kind}: {len(result.texts)} strategies"]
+        lines += [f"  {text}{tails[orbit]}" for text, orbit in zip(result.texts, result.orbits)]
         s = result.summary
-        avg_v = s.min_average.value
-        avg_txt = str(avg_v) if isinstance(avg_v, Fraction) else "inf"
+        avg_txt = _average_text(s.min_average.value)
         lines.append(f"min average {avg_txt}: {', '.join(s.min_average.strategy_ids)}")
         lines.append(f"max a_3 {s.max_a3.value}: {', '.join(s.max_a3.strategy_ids)}")
         lines.append(f"min a_3 {s.min_a3.value}: {', '.join(s.min_a3.strategy_ids)}")

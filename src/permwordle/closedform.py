@@ -97,6 +97,15 @@ def derangement_count(n: int) -> int:
     return b
 
 
+def derangement_match_total(n: int) -> int:
+    """Second-guess hits against a fixed deranged component, summed over
+    all derangement secrets of length n: n (D_{n-1} + D_{n-2}), and 0 at
+    n = 1, where there is no derangement."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return n * (derangement_count(n - 1) + derangement_count(n - 2)) if n > 1 else 0
+
+
 def rho1_closed_form(n: int) -> int:
     """Secrets with a first-guess hit that still need exactly three guesses.
 

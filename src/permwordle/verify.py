@@ -27,7 +27,7 @@ from functools import partial
 from typing import Callable
 
 from . import analysis, closedform, perms, strategies
-from .analysis import DEFAULT_MAX_COST, ScanResult
+from .analysis import DEFAULT_MAX_COST, ScanResult, flagged_members
 from .engine import solve_rounds
 
 
@@ -141,9 +141,7 @@ def _prop_derange_row(n: int):
     if n < 2:
         raise ValueError(f"prop-derange needs n >= 2, got n={n}")
     d_n = closedform.derangement_count(n)
-    expected_sum = n * (
-        closedform.derangement_count(n - 1) + closedform.derangement_count(n - 2)
-    )
+    expected_sum = closedform.derangement_match_total(n)
     # counts[q][v] = derangements with value v at position q+1; one pass
     # over D_n then lets each component's match total be read off.
     counts = [[0] * (n + 1) for _ in range(n)]
@@ -172,32 +170,29 @@ def _eq_derange_sum_row(n: int):
     """Total second-guess hits against a fixed deranged component, summed
     over all derangement secrets; regenerated by enumeration and compared
     to the reference sequence 0, 2, 3, 12, 55, 318, 2163, 16952."""
+    if n < 1:
+        raise ValueError(f"eq-derange-sum needs n >= 1, got n={n}")
+    formula = closedform.derangement_match_total(n)
     if n == 1:
-        observed = formula = 0
+        observed = 0  # D_1 is empty: there is no deranged component
     else:
         delta = next(perms.enumerate_perms(n, "derangements"))
         d_n = closedform.derangement_count(n)
         observed = int(analysis.average_j2_over_derangements(delta) * d_n)
-        formula = n * (
-            closedform.derangement_count(n - 1) + closedform.derangement_count(n - 2)
-        )
     expected = closedform.DERANGEMENT_MATCH_TOTALS.value(n) if n <= 8 else formula
     return observed, expected, observed == expected == formula
 
 
 def _linquad_row(n: int, result: ScanResult):
     """a_1 = 1 and a_2 = 2^n - n - 1 for every strategy in the family."""
-    a1 = {row.gf.coefficient(1) for row in result.rows}
-    a2 = {row.gf.coefficient(2) for row in result.rows}
     expected = {"a1": 1, "a2": closedform.eulerian_second(n)}
+    pairs = [(gf.coefficient(1), gf.coefficient(2)) for gf, _, _ in result.stats]
+    a1, a2 = {a for a, _ in pairs}, {a for _, a in pairs}
     ok = a1 == {1} and a2 == {expected["a2"]}
-    observed = {"a1": a1, "a2": a2, "strategies_checked": len(result.rows)}
+    observed = {"a1": a1, "a2": a2, "strategies_checked": len(result.texts)}
     if not ok:
-        observed["first_counterexample"] = next(
-            row.strategy_id
-            for row in result.rows
-            if row.gf.coefficient(1) != 1 or row.gf.coefficient(2) != expected["a2"]
-        )
+        bad = [pair != (1, expected["a2"]) for pair in pairs]
+        observed["first_counterexample"] = flagged_members(result.texts, result.orbits, bad)[0]
     return observed, expected, ok
 
 
@@ -229,9 +224,9 @@ def _scan_value_row(n: int, result: ScanResult, *, index, forms):
     """Every strategy of the family has the same ``rho[index]``, equal to
     each closed form in ``forms``."""
     expected = forms[0](n)
-    values = {row.rho[index] for row in result.rows}
+    values = {rho[index] for _, rho, _ in result.stats}
     ok = values == {expected} and all(form(n) == expected for form in forms)
-    return {"values": values, "strategies_checked": len(result.rows)}, expected, ok
+    return {"values": values, "strategies_checked": len(result.texts)}, expected, ok
 
 
 def _der2ex_row(n: int):
@@ -253,8 +248,9 @@ def _rho2_row(n: int, *, strategy, closed):
 def _rho2_extreme_row(n: int, result: ScanResult, *, pick, strategy, closed):
     """``strategy(n)`` alone attains the extreme (``pick`` is max or min)
     first-hit-on-guess-two count over all inductive strategies."""
-    value = pick(row.rho[2] for row in result.rows)
-    ids = tuple(row.strategy_id for row in result.rows if row.rho[2] == value)
+    rho2 = [rho[2] for _, rho, _ in result.stats]
+    value = pick(rho2)
+    ids = flagged_members(result.texts, result.orbits, [count == value for count in rho2])
     attainer = strategy(n).text
     expected = {"value": closed(n), "strategies": [attainer]}
     ok = value == closed(n) and ids == (attainer,)
@@ -311,10 +307,10 @@ def _avg_optimality_row(n: int, result: ScanResult):
 
 def _scan_symmetry_row(n: int, result: ScanResult):
     """A scan evaluates one strategy per rotation (inductive) or mirror
-    (cyclic, deranged) orbit and builds the other rows from it; every row
-    must equal the one its own strategy's decomposition gives, and every
-    member's orbit number the one that numbering ``_canonical`` of each
-    member in first-seen order gives."""
+    (cyclic, deranged) orbit and gives its stats to every member; each
+    member's text and orbit's stats must equal what its own strategy and
+    decomposition give, and its orbit number the one that numbering
+    ``_canonical`` of each member in first-seen order gives."""
     members = list(strategies.enumerate_strategies(n, result.kind))
     # Every member, not just its orbit's representative, through the same
     # per-prefix evaluation as the scan.
@@ -325,13 +321,13 @@ def _scan_symmetry_row(n: int, result: ScanResult):
         for s in members
     ]
     bad = []
-    for index, (row, strategy, (gf, rho), orbit, own_orbit) in enumerate(
-        zip(result.rows, members, stats, result.orbits, orbits)
+    for text, orbit, strategy, (gf, rho), own_orbit in zip(
+        result.texts, result.orbits, members, stats, orbits
     ):
-        own = (index, strategy.text, gf, analysis.average_guesses(gf), rho)
-        if (row.index, row.strategy_id, row.gf, row.average, row.rho) != own or orbit != own_orbit:
+        own = (strategy.text, gf, rho, analysis.average_guesses(gf))
+        if (text, *result.stats[orbit]) != own or orbit != own_orbit:
             bad.append(strategy.text)
-    mismatches = len(bad) + abs(len(result.rows) - len(members))
+    mismatches = len(bad) + abs(len(result.texts) - len(members))
     observed = {
         "strategies": len(members),
         "evaluated": len(canonical),

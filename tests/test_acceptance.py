@@ -144,17 +144,18 @@ def test_criterion_06_first_hit_closed_forms(cache):
     left-shift-top strategies match 2^n-2n-2 and L_n-n-1."""
     problems = []
     for n in range(4, 8):
-        rows = cache.scan(n, "inductive").rows
-        by_id = {row.strategy_id: row for row in rows}
+        result = cache.scan(n, "inductive")
+        rhos = [result.stats[orbit][1] for orbit in result.orbits]
+        by_id = dict(zip(result.texts, rhos))
         cs = by_id[strategies.cyclic_shift(n).text]
         csl = by_id[strategies.cyclic_shift_left_top(n).text]
-        if {row.rho[1] for row in rows} != {closedform.rho1_closed_form(n)}:
+        if {rho[1] for rho in rhos} != {closedform.rho1_closed_form(n)}:
             problems.append(f"rho1 at n={n}")
-        if {row.rho[3] for row in rows} != {1}:
+        if {rho[3] for rho in rhos} != {1}:
             problems.append(f"rho3 at n={n}")
-        if cs.rho[2] != closedform.cs_rho2_count(n):
+        if cs[2] != closedform.cs_rho2_count(n):
             problems.append(f"cs rho2 at n={n}")
-        if csl.rho[2] != closedform.csl_rho2_count(n):
+        if csl[2] != closedform.csl_rho2_count(n):
             problems.append(f"csl rho2 at n={n}")
     _report("criterion 06 first-hit class closed forms", not problems,
             str(problems) if problems else "")
@@ -237,7 +238,8 @@ def test_criterion_11_loop_pathology(cache):
     and the deranged n = 4 family contains looping strategies."""
     swap_top = strategies.from_components([[1], [2, 1], [2, 3, 1], [2, 1, 4, 3]])
     trace = engine.play((3, 4, 1, 2), swap_top)
-    loops = sum(1 for row in cache.scan(4, "deranged").rows if row.gf.loop_count)
+    result = cache.scan(4, "deranged")
+    loops = sum(1 for orbit in result.orbits if result.stats[orbit][0].loop_count)
     ok = trace.status == "looped" and loops > 0
     _report("criterion 11 loop pathology", ok, f"{loops} looping strategies at n=4")
 
@@ -283,16 +285,17 @@ def test_criterion_13_cubic_conjecture_deranged(cache):
 
 
 def test_gf_totals_are_consistent(cache):
-    """Cross-criterion sanity: every cached scan row's coefficients and
+    """Cross-criterion sanity: every cached scan member's coefficients and
     loops add up to n!."""
     for (n, kind), result in list(cache._scans.items()):
-        for row in result.rows:
-            assert sum(row.gf.coeffs.values()) + row.gf.loop_count == factorial(n)
-            assert row.average == inf_or_fraction(row)
+        for orbit in result.orbits:
+            gf, _, average = result.stats[orbit]
+            assert sum(gf.coeffs.values()) + gf.loop_count == factorial(n)
+            assert average == inf_or_fraction(gf)
 
 
-def inf_or_fraction(row):
-    if row.gf.loop_count:
+def inf_or_fraction(gf):
+    if gf.loop_count:
         return float("inf")
-    total = sum(r * a for r, a in row.gf.coeffs.items())
-    return Fraction(total, factorial(row.gf.n))
+    total = sum(r * a for r, a in gf.coeffs.items())
+    return Fraction(total, factorial(gf.n))

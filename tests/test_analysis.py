@@ -100,7 +100,7 @@ def test_average_j2_constant_across_components(n):
 
 def test_scan_inductive_4():
     result = analysis.scan(4, "inductive")
-    assert len(result.rows) == 6
+    assert len(result.texts) == 6
     assert result.summary.max_a3.value == 11
     assert result.summary.max_a3.strategy_ids == (CS4.text,)
     assert result.summary.min_a3.value == 7
@@ -110,14 +110,14 @@ def test_scan_inductive_4():
 
 def test_scan_cyclic_3_has_two_tied_rows():
     result = analysis.scan(3, "cyclic")
-    assert len(result.rows) == 2
-    assert all(row.a3 == 1 for row in result.rows)
+    assert len(result.texts) == 2
+    assert all(result.stats[orbit][0].coefficient(3) == 1 for orbit in result.orbits)
     assert len(result.summary.min_average.strategy_ids) == 2
 
 
 def test_scan_inductive_5():
     result = analysis.scan(5, "inductive")
-    assert len(result.rows) == 24
+    assert len(result.texts) == 24
     assert result.summary.max_a3.value == 66
     assert result.summary.max_a3.strategy_ids == (CS5.text,)
     assert result.summary.min_a3.value == 51
@@ -126,18 +126,19 @@ def test_scan_inductive_5():
 
 def test_scan_rows_match_playback():
     result = analysis.scan(4, "deranged")
-    assert len(result.rows) == 18
+    assert len(result.texts) == 18
     by_id = {s.text: s for s in strategies.enumerate_strategies(4, "deranged")}
-    for row in result.rows:
-        assert row.gf == analysis.generating_function(by_id[row.strategy_id], "playback")
-    assert any(row.gf.loop_count > 0 for row in result.rows)
+    gfs = [result.stats[orbit][0] for orbit in result.orbits]
+    for text, gf in zip(result.texts, gfs):
+        assert gf == analysis.generating_function(by_id[text], "playback")
+    assert any(gf.loop_count > 0 for gf in gfs)
 
 
 def test_scan_row_order_is_enumeration_order():
     result = analysis.scan(4, "inductive")
     expected = [s.text for s in strategies.enumerate_strategies(4, "inductive")]
-    assert [row.strategy_id for row in result.rows] == expected
-    assert [row.index for row in result.rows] == list(range(6))
+    assert result.texts == expected
+    assert len(result.orbits) == 6
 
 
 def test_scan_parallel_matches_serial():
@@ -151,8 +152,8 @@ def test_scan_parallel_matches_serial_over_mirror_orbits(kind):
     serial = analysis.scan(5, kind, jobs=1)
     parallel = analysis.scan(5, kind, jobs=2)
     assert serial == parallel
-    assert serial.rows == parallel.rows
-    assert serial.rows is serial.rows  # built once, on first use
+    members = [serial.stats[orbit] for orbit in serial.orbits]
+    assert members == [parallel.stats[orbit] for orbit in parallel.orbits]
 
 
 @pytest.mark.parametrize(
@@ -179,20 +180,19 @@ def test_orbit_map_equals_canonical_numbering(kind, n):
     + [(kind, n) for kind in ("cyclic", "deranged") for n in range(3, 6)],
 )
 def test_scan_rows_match_per_strategy_decomposition(kind, n):
-    """Scans evaluate one strategy per symmetry orbit; every row built from
-    a representative must equal the row of its own strategy."""
+    """Scans evaluate one strategy per symmetry orbit; every member's text
+    and orbit's stats must equal its own strategy's text and stats."""
     result = analysis.scan(n, kind)
     memo = SubgameMemo()
     expected = []
     for index, s in enumerate(strategies.enumerate_strategies(n, kind)):
         gf, rho = analysis.decomposition_stats(s, memo)
-        expected.append((index, s.text, gf, analysis.average_guesses(gf), rho))
+        expected.append((index, s.text, gf, rho, analysis.average_guesses(gf)))
     observed = [
-        (row.index, row.strategy_id, row.gf, row.average, row.rho)
-        for row in result.rows
+        (index, text, *result.stats[orbit])
+        for index, (text, orbit) in enumerate(zip(result.texts, result.orbits))
     ]
     assert observed == expected
-    assert len({id(row.rho) for row in result.rows}) == len(result.rows)
 
 
 @pytest.mark.parametrize(
@@ -209,7 +209,7 @@ def test_scan_decomposes_one_strategy_per_orbit(monkeypatch, kind, n, calls):
     monkeypatch.setattr(analysis, "decomposition_stats", counting)
     result = analysis.scan(n, kind, jobs=1)
     assert len(seen) == len(set(seen)) == calls
-    assert len(result.rows) == strategies.count_strategies(n, kind)
+    assert len(result.texts) == len(result.orbits) == strategies.count_strategies(n, kind)
 
 
 def test_scan_cost_refusal():

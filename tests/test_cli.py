@@ -10,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from permwordle import analysis, cli
+from permwordle import cli
 from permwordle.verify import VerificationReport
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -150,39 +150,41 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv):
         assert "positive integer" in captured.err
 
 
-# sha256 of `scan --format csv` at the given --jobs, taken from the engine
-# before the top-size lookup table existed (cyclic n = 6 is the benchmark's
-# pin); every route to a scan row must keep these bytes.  Cyclic n = 6 runs
-# two workers, each with its own memo, so its tops recur and their cached
-# no-lock chains are read.
-SCAN_CSV_SHA256 = {
-    ("inductive", "6", "1"): "f4aa402ff14d323a82f7ad75f1aa15d26dc81b9bc62a0e53ebd5ca0f54ff74b9",
-    ("cyclic", "5", "1"): "7a65a86a85443da06ed6d59adcdc7b250d1a88f8e4b6ddbb4453947d819a2d20",
-    ("deranged", "5", "1"): "cd3b8e42327b131782ef74528ca3c560f75e4a88f0de8a2a36fca8fc284cb014",
-    ("cyclic", "6", "2"): "3e850e41ee77741ab281540982a984cbffa68e0bf37f9793acfb2d51f51c5557",
+# sha256 of `scan --format FORMAT` at the given --jobs.  The CSV digests
+# were taken from the engine before the top-size lookup table existed
+# (cyclic n = 6 is the benchmark's pin), the JSON and text digests from the
+# writers that built one row object per member; every route to a scan line
+# must keep these bytes.  Cyclic n = 6 runs two workers, each with its own
+# memo, so its tops recur and their cached no-lock chains are read.
+# Deranged n = 5 has looping strategies: a null average in JSON, inf in
+# text and empty average columns in CSV.
+SCAN_SHA256 = {
+    ("inductive", "6", "1", "csv"): "f4aa402ff14d323a82f7ad75f1aa15d26dc81b9bc62a0e53ebd5ca0f54ff74b9",
+    ("cyclic", "5", "1", "csv"): "7a65a86a85443da06ed6d59adcdc7b250d1a88f8e4b6ddbb4453947d819a2d20",
+    ("deranged", "5", "1", "csv"): "cd3b8e42327b131782ef74528ca3c560f75e4a88f0de8a2a36fca8fc284cb014",
+    ("cyclic", "6", "2", "csv"): "3e850e41ee77741ab281540982a984cbffa68e0bf37f9793acfb2d51f51c5557",
+    ("inductive", "6", "1", "json"): "3008588c9912e0126384e675d8ac495c654c3daa55eb35e7189e297065b44b0e",
+    ("inductive", "6", "1", "text"): "2b2c971fd198e960e6eefbb594b891dcc693960da1ff10de7816e5588a698e78",
+    ("cyclic", "5", "1", "json"): "0dcb3e9289fca3fee574db375d1ced69dd69541a9343dcf8a42dbc2740582b6b",
+    ("cyclic", "5", "1", "text"): "bd01f118012c2c3e74de0f06414b9fb06fcc2baafea0d25717d4141f94714c88",
+    ("deranged", "5", "1", "json"): "35a45bb12ea045a793b2bb67928ca7a710e4ea7be8cc7f00e9af22234c662b18",
+    ("deranged", "5", "1", "text"): "32c764a176032cb9d9b52e7aba66681ce73e18a08f0d45561dc61bee9e91cae3",
 }
 
 
 @pytest.mark.parametrize(
-    "kind, n, jobs",
-    [pytest.param(*key, id=f"{key[0]}-{key[1]}") for key in SCAN_CSV_SHA256],
+    "kind, n, jobs, fmt",
+    [
+        pytest.param(*key, id="-".join(key[:2] + key[3:] * (key[3] != "csv")))
+        for key in SCAN_SHA256
+    ],
 )
-def test_scan_csv_bytes_are_pinned(capsys, kind, n, jobs):
+def test_scan_csv_bytes_are_pinned(capsys, kind, n, jobs, fmt):
     code, out = run(
-        capsys, "scan", "--n", n, "--class", kind, "--format", "csv", "--jobs", jobs
+        capsys, "scan", "--n", n, "--class", kind, "--format", fmt, "--jobs", jobs
     )
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_CSV_SHA256[kind, n, jobs]
-
-
-def test_scan_csv_builds_no_rows(capsys, monkeypatch):
-    """The CSV writer formats each orbit once and builds no ``ScanRow``."""
-    built = []
-    monkeypatch.setattr(analysis, "ScanRow", lambda *fields: built.append(fields))
-    code = cli.main(["scan", "--n", "5", "--class", "cyclic", "--format", "csv"])
-    assert code == 0
-    assert capsys.readouterr().out.count("\n") == 1 + 288
-    assert built == []
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[kind, n, jobs, fmt]
 
 
 def test_scan_json_schema(capsys):

@@ -35,6 +35,15 @@ def test_lucas():
     assert values == [1, 3, 4, 7, 11, 18, 29, 47]
 
 
+def test_derangement_match_total():
+    """n (D_(n-1) + D_(n-2)), 0 at n = 1, against the stored A284843 terms."""
+    totals = [cf.derangement_match_total(n) for n in range(1, 9)]
+    assert totals == [cf.DERANGEMENT_MATCH_TOTALS.value(n) for n in range(1, 9)]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            cf.derangement_match_total(n)
+
+
 def test_derangement_count():
     assert [cf.derangement_count(n) for n in range(0, 9)] == [
         1, 0, 1, 2, 9, 44, 265, 1854, 14833,

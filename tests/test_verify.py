@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -8,6 +9,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from permwordle import analysis, cli, strategies
+from permwordle.analysis import GFCoefficients
 from permwordle.verify import (
     SEQUENCE_NAMES,
     THEOREMS,
@@ -53,10 +55,11 @@ def test_range_outside_every_family_is_refused(theorem_id, n_range, capsys):
 
 
 @pytest.mark.parametrize(
-    "theorem_id, n_range", [("rho3", (2, 3)), ("prop-derange", (1, 2))]
+    "theorem_id, n_range",
+    [("rho3", (2, 3)), ("prop-derange", (1, 2)), ("eq-derange-sum", (0, 2))],
 )
 def test_n_below_the_domain_is_refused(theorem_id, n_range):
-    with pytest.raises(ValueError, match="n >= 2|at least 3"):
+    with pytest.raises(ValueError, match="n >= [12]|at least 3"):
         verify(theorem_id, n_range)
 
 
@@ -186,6 +189,39 @@ def test_scan_symmetry_fails_on_a_wrong_orbit_map(monkeypatch):
     _validate_report(report)
 
 
+@pytest.mark.parametrize("kind, n", [("cyclic", 4), ("inductive", 5)])
+def test_scan_checks_name_every_failing_member(kind, n):
+    """Move one unit of a_2 to a_3 in the last member's orbit, and give two
+    other orbits a guess-two count above the maximum and below the minimum:
+    linquad must name that orbit's first member in scan order, and
+    best-/worst-rho2 must list every member of the other two."""
+    result = analysis.scan(n, kind, jobs=1)
+    members = {}
+    for text, orbit in zip(result.texts, result.orbits):
+        members.setdefault(orbit, []).append(text)
+    wrong = result.orbits[-1]
+    high, low = [o for o in sorted(members, key=lambda o: -len(members[o])) if o != wrong][:2]
+    stats = list(result.stats)
+    gf, rho, average = stats[wrong]
+    coeffs = {**gf.coeffs, 2: gf.coeffs[2] - 1, 3: gf.coeffs.get(3, 0) + 1}
+    stats[wrong] = (GFCoefficients(n, coeffs, gf.loop_count), rho, average)
+    rho2 = [rho[2] for _, rho, _ in stats]
+    extremes = {"best-rho2": (high, max(rho2) + 1), "worst-rho2": (low, min(rho2) - 1)}
+    for orbit, value in extremes.values():
+        gf, rho, average = stats[orbit]
+        stats[orbit] = (gf, {**rho, 2: value}, average)
+    broken = dataclasses.replace(result, stats=stats)
+    observed, _, ok = THEOREMS["linquad"].row(n, broken)
+    assert not ok
+    assert observed["first_counterexample"] == members[wrong][0]
+    assert observed["strategies_checked"] == len(result.texts)
+    for name, (orbit, value) in extremes.items():
+        observed, _, ok = THEOREMS[name].row(n, broken)
+        assert not ok
+        assert observed == {"value": value, "strategies": tuple(members[orbit])}
+        assert len(members[orbit]) > 1
+
+
 def test_avg_optimality_records_reflection_tie(cache):
     report = verify("avg-optimality", (3, 4), cache=cache)
     assert report.status == "pass"
@@ -299,6 +335,21 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_python_example_runs():
+    """The README's library example runs, and its comments hold."""
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    code = [block.removeprefix("python\n") for block in blocks if block.startswith("python\n")]
+    assert len(code) == 1
+    namespace = {}
+    exec(code[0], namespace)
+    assert namespace["trace"].solved and namespace["trace"].rounds == 3
+    assert namespace["gf"].coeffs == {1: 1, 2: 26, 3: 66, 4: 26, 5: 1}
+    result = namespace["result"]
+    assert len(result.texts) == 24 and len(result.stats) == 8
+    assert namespace["text"] == "1;2,1;2,3,1;2,3,4,1;2,3,4,5,1" == strategies.cyclic_shift(5).text
+    assert namespace["stats"][2] == 3
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
