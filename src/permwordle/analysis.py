@@ -28,8 +28,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import operator
-import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -90,10 +89,15 @@ LOOPED_CODE = 255  # LOOPED in a lookup table V; see ``_top_values``
 MAX_RANKED = 9  # n - 1 entries fix a permutation; up to 9 they fit a word
 
 
-def _words(ps: Iterable[Perm]) -> bytes:
+def _words(ps: Iterable[Perm], n: int) -> bytes:
     """Each permutation's first n - 1 entries as a zero-padded 8-byte word:
-    ``bytes.translate`` composes all with s, ``memoryview.cast`` reads ints."""
-    return b"".join(bytes(p[:-1]).ljust(8, b"\0") for p in ps)
+    ``bytes.translate`` composes all with s, ``memoryview.cast`` reads ints.
+    Entry j of every word is one strided copy from the flat entries."""
+    flat = bytes(itertools.chain.from_iterable(ps))
+    words = bytearray(len(flat) // n * 8)
+    for j in range(n - 1):
+        words[j::8] = flat[j::n]
+    return bytes(words)
 
 
 class _Ranks(NamedTuple):
@@ -112,25 +116,36 @@ class _Ranks(NamedTuple):
 def _ranks(n: int) -> _Ranks:
     """``_Ranks`` for size n.  Each x with a fixed point is built from its
     incorrect positions W and its relative derangement e, by
-    x(W_j) = W_e(j), so its layout entry is that of e."""
-    words = memoryview(_words(itertools.permutations(range(1, n + 1)))).cast("Q")
+    x(W_j) = W_e(j), so its layout entry is that of e: per (k, W), one
+    ``bytes.translate`` of the flat D_k entries by j -> W_j gives the
+    x(W_j), strided into identity words, and their ranks get e's entries."""
+    count = factorial(n)
+    words = memoryview(_words(itertools.permutations(range(1, n + 1)), n)).cast("Q")
     index = dict(zip(words.tolist(), itertools.count()))
-    blob = _words(_derangements(n))
-    position = [-1] * len(index)
-    for i, word in enumerate(memoryview(blob).cast("Q").tolist()):
-        position[index[word]] = i
-    entry = [0] * len(index)
+    blob = _words(_derangements(n), n)
+    position = [-1] * count
+    _scatter(position, map(index.__getitem__, memoryview(blob).cast("Q").tolist()), itertools.count())
+    entry = [0] * count
+    identity = bytes(range(1, n)).ljust(8, b"\0")
     offset = 1
     for k in range(2, n):
+        size = len(_derangements(k))
+        flat = bytes(itertools.chain.from_iterable(_derangements(k)))
         for wrong in itertools.combinations(range(n), k):
-            x = list(range(1, n + 1))
-            targets = (0,) + tuple(q + 1 for q in wrong)
-            for i, e in enumerate(_derangements(k), offset):
-                for q, v in zip(wrong, e):
-                    x[q] = targets[v]
-                entry[index[int.from_bytes(bytes(x[:-1]).ljust(8, b"\0"), sys.byteorder)]] = i
-        offset += len(_derangements(k))
+            moved = flat.translate(bytes.maketrans(bytes(range(1, k + 1)), bytes(q + 1 for q in wrong)))
+            xs = bytearray(identity * size)
+            for j, q in enumerate(wrong):
+                if q < n - 1:  # the last entry is not in the word
+                    xs[q::8] = moved[j::k]
+            ranks = map(index.__getitem__, memoryview(xs).cast("Q").tolist())
+            _scatter(entry, ranks, range(offset, offset + size))
+        offset += size
     return _Ranks(index, blob, position, operator.itemgetter(*entry))
+
+
+def _scatter(target: list[int], at: Iterable[int], values: Iterable[int]) -> None:
+    """target[i] = v for each (i, v) of ``at`` and ``values``, in C."""
+    deque(map(target.__setitem__, at, values), maxlen=0)
 
 
 def _top_values(n: int, tables: Tables) -> bytes:

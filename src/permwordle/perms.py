@@ -104,12 +104,41 @@ def excedance_count(p: Perm) -> int:
     return sum(1 for i, v in enumerate(p, 1) if v > i)
 
 
+TAIL = 5  # derangements end in a block of arrangements of this many values
+
+
+def _deranged_prefixes(
+    prefix: Perm, left: tuple[int, ...], length: int
+) -> Iterator[tuple[Perm, tuple[int, ...]]]:
+    """Yield each fixed-point-free ``prefix`` of ``length`` entries, with the
+    values it leaves (sorted), depth first with each entry increasing."""
+    if len(prefix) == length:
+        yield prefix, left
+        return
+    position = len(prefix) + 1
+    for i, v in enumerate(left):
+        if v != position:
+            yield from _deranged_prefixes(prefix + (v,), left[:i] + left[i + 1 :], length)
+
+
 def enumerate_perms(n: int, kind: str = "all") -> Iterator[Perm]:
     """Yield permutations of {1..n} in lexicographic order.
 
     ``kind`` selects the class: "all" (n! permutations), "derangements"
     (no fixed points), or "cyclic" (single n-cycles).  The stream is
     independently restartable, so work can be partitioned by index range.
+
+    Derangements come in blocks.  A permutation is a derangement exactly
+    when its first n - 5 entries (the prefix) and its last 5 entries (the
+    tail) each avoid their own positions.  The prefixes are walked depth
+    first with each entry increasing, so they come in lexicographic order.
+    Each is followed by its block: every arrangement of the values it
+    leaves that fixes none of the last 5 positions, taken from
+    ``itertools.permutations`` of those values sorted, so also in
+    lexicographic order.  Prefixes in order, each with its tails in order,
+    make the whole stream lexicographic.  A block depends only on the
+    values left, so it is built once per set of them (at most C(n, 5)) and
+    freed with the stream; for n <= 5 there is one block and no prefix.
     """
     if n < 1:
         raise ValueError("a permutation must have length at least 1")
@@ -117,10 +146,16 @@ def enumerate_perms(n: int, kind: str = "all") -> Iterator[Perm]:
     if kind == "all":
         yield from base
     elif kind == "derangements":
-        ident = range(1, n + 1)
-        for p in base:
-            if not any(map(operator.eq, p, ident)):
-                yield p
+        head = max(n - TAIL, 0)
+        positions = range(head + 1, n + 1)
+        blocks: dict[tuple[int, ...], list[Perm]] = {}
+        for prefix, left in _deranged_prefixes((), tuple(range(1, n + 1)), head):
+            block = blocks.get(left)
+            if block is None:
+                block = blocks[left] = [
+                    q for q in itertools.permutations(left) if not any(map(operator.eq, q, positions))
+                ]
+            yield from map(prefix.__add__, block)
     elif kind == "cyclic":
         for p in base:
             if is_cyclic(p):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
 from math import factorial, inf
 
@@ -296,6 +298,42 @@ def test_evaluate_is_the_same_over_any_split(kind, n):
     bounds = sorted(rng.sample(range(1, len(reps)), 4))
     chunks = [reps[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(reps)])]
     assert [r for chunk in chunks for r in analysis._evaluate(chunk)] == whole
+
+
+def _reference_ranks(n):
+    """``analysis._ranks`` built one permutation at a time: each word packed
+    by itself, each x with a fixed point filled in place, x(W_j) = W_e(j)."""
+
+    def word(p):
+        return int.from_bytes(bytes(p[:-1]).ljust(8, b"\0"), sys.byteorder)
+
+    index = {word(p): r for r, p in enumerate(itertools.permutations(range(1, n + 1)))}
+    blob = b"".join(bytes(d[:-1]).ljust(8, b"\0") for d in analysis._derangements(n))
+    position = [-1] * len(index)
+    for i, d in enumerate(analysis._derangements(n)):
+        position[index[word(d)]] = i
+    entry = [0] * len(index)
+    offset = 1
+    for k in range(2, n):
+        for wrong in itertools.combinations(range(n), k):
+            x = list(range(1, n + 1))
+            targets = (0,) + tuple(q + 1 for q in wrong)
+            for i, e in enumerate(analysis._derangements(k), offset):
+                for q, v in zip(wrong, e):
+                    x[q] = targets[v]
+                entry[index[word(x)]] = i
+        offset += len(analysis._derangements(k))
+    return index, blob, position, entry
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ranks_equal_the_per_permutation_construction(n):
+    ranks = analysis._ranks(n)
+    index, blob, position, entry = _reference_ranks(n)
+    assert list(ranks.index.items()) == list(index.items())
+    assert ranks.blob == blob
+    assert ranks.position == position
+    assert ranks.layout(range(max(entry) + 1)) == tuple(entry)
 
 
 def _no_lock_chain(top, d):

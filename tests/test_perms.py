@@ -1,5 +1,6 @@
 import doctest
 import itertools
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -114,9 +115,28 @@ def test_enumeration_counts_and_order(n):
     assert cyc == sorted(cyc)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_derangement_enumeration_equals_brute_filter(n):
     assert list(perms.enumerate_perms(n, "derangements")) == brute_derangements(n)
+
+
+def test_derangement_enumeration_is_lazy():
+    """The first of D_14 comes without walking the 13! permutations that
+    start with 1, and without building a block for every set of tail values."""
+    tracemalloc.start()
+    try:
+        first = next(perms.enumerate_perms(14, "derangements"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(v for i in range(1, 14, 2) for v in (i + 1, i))
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("kind", ["all", "derangements", "cyclic"])
+def test_enumerate_refuses_length_below_one(kind):
+    with pytest.raises(ValueError, match="at least 1"):
+        next(perms.enumerate_perms(0, kind))
 
 
 def test_enumerate_rejects_unknown_kind():
