@@ -24,9 +24,8 @@ from pathlib import Path
 
 from . import analysis, engine, perms, strategies
 from .analysis import DEFAULT_MAX_COST, GFCoefficients, ScanResult
-from .engine import GameTrace
 from .strategies import Strategy
-from .verify import SEQUENCE_NAMES, THEOREMS, ScanCache, check_sequence
+from .verify import SEQUENCE_NAMES, THEOREMS, ScanCache, check_sequence, json_value
 from .verify import verify as run_verify
 
 # Sample tops whose generating functions the length-5 block of the
@@ -48,7 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    """Compact JSON of ``obj``'s values in their one encoding (``json_value``)."""
+    return json.dumps(json_value(obj), separators=(",", ":"))
 
 
 def _write_stdout(text: str) -> None:
@@ -119,12 +119,6 @@ def _coeffs_json(gf: GFCoefficients) -> dict:
     return {str(r): gf.coefficient(r) for r in range(1, gf.max_guesses + 1)}
 
 
-def _average_json(avg) -> dict | None:
-    if isinstance(avg, Fraction):
-        return {"num": avg.numerator, "den": avg.denominator}
-    return None  # infinite average: the strategy loops on some secret
-
-
 def _average_text(avg) -> str:
     return str(avg) if isinstance(avg, Fraction) else "inf"
 
@@ -137,23 +131,21 @@ def _hits_text(hits: frozenset[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(hits)) + "}" if hits else "-"
 
 
-def _trace_json(trace: GameTrace, strategy: Strategy) -> dict:
-    return {
-        "secret": list(trace.secret),
-        "strategy": strategy.text,
-        "guesses": [list(g) for g in trace.guesses],
-        "correct_sets": [sorted(s) for s in trace.correct_sets],
-        "status": trace.status,
-        "rounds": trace.rounds,
-    }
-
-
 def cmd_play(args) -> int:
     secret = perms.parse_perm(args.secret)
     strategy = _parse_strategy_arg(args, n=len(secret))
     trace = engine.play(secret, strategy)
     if args.format == "json":
-        out = _dumps(_trace_json(trace, strategy))
+        out = _dumps(
+            {
+                "secret": trace.secret,
+                "strategy": strategy.text,
+                "guesses": trace.guesses,
+                "correct_sets": trace.correct_sets,
+                "status": trace.status,
+                "rounds": trace.rounds,
+            }
+        )
     else:
         lines = [f"secret {perms.format_perm(secret)}  strategy {strategy.text}"]
         for r, (guess, hits) in enumerate(zip(trace.guesses, trace.correct_sets), 1):
@@ -208,7 +200,7 @@ def cmd_avg(args) -> int:
             {
                 "n": gf.n,
                 "strategy": strategy.text,
-                "average": _average_json(avg),
+                "average": avg,
                 "loops": gf.loop_count,
             }
         )
@@ -249,46 +241,28 @@ def _scan_csv(result: ScanResult) -> str:
     return _csv_text(header, []) + "\n".join(lines) + "\n"
 
 
-def _extreme_json(extreme: analysis.ExtremeSet) -> dict:
-    value = extreme.value
-    if isinstance(value, Fraction):
-        value = _average_json(value)
-    elif value == float("inf"):
-        value = None
-    return {"value": value, "strategies": list(extreme.strategy_ids)}
-
-
-def _scan_json(result: ScanResult) -> dict:
-    """One object per member: each orbit's fields are built once and
-    joined to each of its members' ids."""
-    fields = [
-        {
-            "coeffs": _coeffs_json(gf),
-            "loops": gf.loop_count,
-            "average": _average_json(avg),
-            "rho": {str(i): rho[i] for i in (1, 2, 3)},
-        }
+def _scan_json(result: ScanResult) -> str:
+    """One object per member, as text: each orbit's fields are dumped once,
+    less the opening brace, and joined after each of its members' dumped id."""
+    tails = [
+        _dumps({"coeffs": _coeffs_json(gf), "loops": gf.loop_count, "average": avg,
+                "rho": {i: rho[i] for i in (1, 2, 3)}})[1:]
         for gf, rho, avg in result.stats
     ]
-    return {
-        "n": result.n,
-        "class": result.kind,
-        "rows": [
-            {"strategy": text, **fields[orbit]}
-            for text, orbit in zip(result.texts, result.orbits)
-        ],
-        "summary": {
-            "min_average": _extreme_json(result.summary.min_average),
-            "max_a3": _extreme_json(result.summary.max_a3),
-            "min_a3": _extreme_json(result.summary.min_a3),
-        },
+    ids = map(json.dumps, result.texts)
+    rows = map('{{"strategy":{},{}'.format, ids, map(tails.__getitem__, result.orbits))
+    summary = {
+        name: {"value": extreme.value, "strategies": extreme.strategy_ids}
+        for name, extreme in vars(result.summary).items()  # min_average, max_a3, min_a3
     }
+    head = _dumps({"n": result.n, "class": result.kind})[:-1]
+    return f'{head},"rows":[{",".join(rows)}],"summary":{_dumps(summary)}}}'
 
 
 def cmd_scan(args) -> int:
     result = analysis.scan(args.n, args.kind, jobs=args.jobs, max_cost=args.max_cost)
     if args.format == "json":
-        out = _dumps(_scan_json(result))
+        out = _scan_json(result)
     elif args.format == "csv":
         out = _scan_csv(result)
     else:

@@ -92,8 +92,7 @@ def cyclic_shift_left_top(n: int) -> Strategy:
         raise ValueError(
             "left and right shift coincide below length 3; need n >= 3"
         )
-    comps = tuple(_shift_right(k) for k in range(1, n)) + (_shift_left(n),)
-    return Strategy(comps, "inductive")
+    return inductive(_shift_left(n))
 
 
 def inductive(top: Iterable[int]) -> Strategy:
@@ -148,9 +147,7 @@ def mirror(strategy: Strategy) -> Strategy:
     every component.  Mirroring maps right shifts to left shifts and
     preserves the full play-out of every game, so a strategy and its mirror
     always share a generating function."""
-    comps = tuple(map(mirror_component, strategy.components))
-    kind = "cyclic" if all(perms.is_cyclic(c) for c in comps) else "deranged"
-    return Strategy(comps, kind)
+    return from_components(map(mirror_component, strategy.components))
 
 
 def component_pools(n: int, kind: str) -> list[list[Perm]]:
@@ -212,6 +209,10 @@ def format_strategy(strategy: Strategy) -> str:
     return ";".join(map(_component_text, strategy.components))
 
 
+# The named strategies parse_strategy accepts, each built from its length.
+_NAMED = {"cs": cyclic_shift, "csl": cyclic_shift_left_top}
+
+
 def parse_strategy(text: str, n: int | None = None) -> Strategy:
     """Parse the textual strategy format.
 
@@ -221,14 +222,10 @@ def parse_strategy(text: str, n: int | None = None) -> Strategy:
     """
     t = text.strip()
     low = t.lower()
-    if low == "cs":
+    if low in _NAMED:
         if n is None:
-            raise ValueError("strategy 'cs' needs an explicit length n")
-        strategy = cyclic_shift(n)
-    elif low == "csl":
-        if n is None:
-            raise ValueError("strategy 'csl' needs an explicit length n")
-        strategy = cyclic_shift_left_top(n)
+            raise ValueError(f"strategy {low!r} needs an explicit length n")
+        strategy = _NAMED[low](n)
     elif low.startswith("inductive:"):
         strategy = inductive(perms.parse_perm(t.split(":", 1)[1]))
     else:

@@ -3,14 +3,16 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from permwordle import cli
+from permwordle import analysis, cli
 from permwordle.verify import VerificationReport
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -197,6 +199,50 @@ def test_scan_json_schema(capsys):
     validate("scan", payload)
     looped = [row for row in payload["rows"] if row["loops"]]
     assert looped and all(row["average"] is None for row in looped)
+
+
+def test_scan_json_builds_no_object_per_member():
+    # One dict per member, dumped at the end, peaks at 17.7 times the output.
+    result = analysis.scan(5, "deranged", jobs=1)
+    tracemalloc.start()
+    try:
+        out = cli._scan_json(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(out)
+
+
+def _strings(value):
+    """Every string in a parsed JSON value, keys included."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+
+
+def test_no_json_output_writes_a_rational_as_text(capsys):
+    """Every rational is {num, den}: the pinned verify reports, which
+    test_report_json_is_pinned holds equal to the code's, avg (a finite and
+    an infinite average) and a scan with looping strategies."""
+    reports = Path(__file__).resolve().parent / "verify_reports.jsonl"
+    payloads = [json.loads(line) for line in reports.read_text().splitlines()]
+    for argv in (
+        ["avg", "--strategy", "cs", "--n", "4"],
+        ["avg", "--strategy", "1;2,1;2,3,1;2,1,4,3"],
+        ["scan", "--n", "4", "--class", "deranged", "--jobs", "1"],
+    ):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payloads.append(json.loads(out))
+    found = [s for p in payloads for s in _strings(p) if re.fullmatch(r"-?\d+/\d+", s)]
+    assert found == []
+    assert "num" in {s for p in payloads for s in _strings(p)}
 
 
 def test_scan_refusal_reports_estimate(capsys):

@@ -1,20 +1,23 @@
 import dataclasses
 import json
+import math
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from permwordle import analysis, cli, strategies
+from permwordle import analysis, cli, closedform, strategies
 from permwordle.analysis import GFCoefficients
 from permwordle.verify import (
     SEQUENCE_NAMES,
     THEOREMS,
     ScanCache,
     check_sequence,
+    json_value,
     verify,
 )
 
@@ -126,12 +129,35 @@ def test_best_and_worst_rho2(cache):
     ]
 
 
+def test_json_value_encodes_each_kind_of_value():
+    assert json_value(Fraction(7, 2)) == {"num": 7, "den": 2}
+    assert json_value(Fraction(2)) == {"num": 2, "den": 1}
+    assert json_value(math.inf) is None
+    assert json_value(0.5) == 0.5
+    # A set is sorted by value, not by its members' encoded form.
+    values = {Fraction(10, 3), Fraction(3, 2), Fraction(5, 4)}
+    assert json_value(values) == [
+        {"num": 5, "den": 4}, {"num": 3, "den": 2}, {"num": 10, "den": 3}
+    ]
+    assert json_value(frozenset({3, 1, 2})) == [1, 2, 3]
+    assert json_value((1, (2, 3), Fraction(1, 2))) == [1, [2, 3], {"num": 1, "den": 2}]
+    assert json_value({1: "a", 2: (True, None)}) == {"1": "a", "2": [True, None]}
+    for value in (True, False, None, 0, 12, "3/2"):
+        assert json_value(value) is value
+    # Encoding twice changes nothing, so a payload of encoded rows may be
+    # encoded again as a whole.
+    payload = {"x": [Fraction(1, 3), math.inf, {4}], 5: {"k": (1,)}}
+    assert json_value(json_value(payload)) == json_value(payload)
+
+
 def test_prop_derange_is_erratum_noted(cache):
     report = verify("prop-derange", (3, 5), cache=cache)
     assert report.status == "erratum-noted"
     assert report.ok
     assert any("n/(n-1)" in note for note in report.notes)
-    for row, expected in zip(report.rows, ["3/2", "4/3", "5/4"]):
+    for row in report.rows:
+        n = row["n"]
+        expected = {"num": n, "den": n - 1}
         assert row["observed"]["averages"] == [expected]
         assert row["expected"] == expected
     _validate_report(report)
@@ -255,6 +281,9 @@ def test_der2ex_and_rho2_counts(cache):
 def test_check_sequence(name):
     report = check_sequence(name)
     assert report.status == "pass"
+    table = closedform.REFERENCE_SEQUENCES[name]
+    assert report.n_range == (table.offset, table.offset + len(table.values) - 1)
+    assert [row["n"] for row in report.rows] == list(range(report.n_range[0], report.n_range[1] + 1))
     _validate_report(report)
 
 
