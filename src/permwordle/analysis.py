@@ -17,7 +17,13 @@ one strategy per rotation or mirror orbit (``_orbit_map``, checked against
 the unshortened ``_canonical``).  At the top size
 a scan reads T(d) = m(d) + V(y(d)): V is the rank-indexed lookup table of
 the lower prefix and m, y come from the no-lock chains of the top component
-(``_top_chains``), which serve it under every lower prefix.
+(``_top_chains``), which serve it under every lower prefix.  The tops that
+recur in a worker's chunk are counted together: big-int counters hold one
+fixed-width field per top, and one C-level sum of chain-end planes per
+chain length m and value v of V adds to every top's count of T = m + v at
+once (``_top_counts``), so each such strategy costs only the assembly of
+its generating function.  A lone top is read off V by itself
+(``_top_stats``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -28,6 +34,8 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import operator
+import sys
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,11 +216,11 @@ def _top_chains(top: Perm) -> TopChains:
     return TopChains(tuple(ends), len(xs))
 
 
-def _top_stats(top: Perm, values: bytes, chains: TopChains | None) -> Hist:
+def _top_stats(top: Perm, values: bytes) -> Hist:
     """``_size_stats`` at the top size n, read off the lookup table V:
     T(d) = m(d) + V(y(d)) (LOOPED if either is), with m and y from the
-    no-lock ``chains`` of the top, built here when not given."""
-    chains = chains or _top_chains(top)
+    no-lock chains of the top."""
+    chains = _top_chains(top)
     hist: Hist = {LOOPED: chains.loops} if chains.loops else {}
     for m, ends in enumerate(chains.ends, 1):
         # The trailing rank keeps the getter's result a tuple; it is cut.
@@ -248,12 +256,15 @@ def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
 class LowerPrefix(NamedTuple):
     """What the strategies of lower prefix s_1..s_(n-1) share: the sum of
     C(n, k) times the T histogram of each size k < n and, once a scan has
-    prepared it, V and the chains of the tops that recur in its chunk."""
+    prepared it, V and the counts of the tops that recur in its chunk: the
+    top with field i has ``counts[t][i]`` secrets besides the identity that
+    take 1 + t guesses (t = LOOPED counts the loops), lower sizes included."""
 
     components: tuple[Perm, ...]
     weighted: Counter
     values: bytes | None = None
-    chains: dict[Perm, TopChains] | None = None
+    fields: dict[Perm, int] | None = None
+    counts: dict[int | float, memoryview] | None = None
 
 
 def _lower_stats(strategy: Strategy, memo: SubgameMemo) -> LowerPrefix:
@@ -271,35 +282,158 @@ def _lower_stats(strategy: Strategy, memo: SubgameMemo) -> LowerPrefix:
     return LowerPrefix(strategy.components[:-1], weighted)
 
 
+# The bytes of counter planes at which a block of tops stops growing: a
+# worker holds the planes and compact chains of about two blocks at most.
+PLANE_BUDGET = 4 << 20
+# _SELECT[v] translates byte v to 1 and every other byte to 0.
+_SELECT = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]
+
+
+def _field_code(n: int) -> str:
+    """The array code of one top's field in a counter, 2 bytes while n! <=
+    2^16 and 4 beyond: a field's total is at most n! - 1."""
+    return "H" if factorial(n) <= 1 << 16 else "I"
+
+
+class TopBlock(NamedTuple):
+    """Bit-sliced counters for a block of ``size`` tops: big ints with one
+    fixed-width field per top.  ``planes[m - 1]`` pairs the ranks where
+    some top's chain of length m ends with the plane of each such (m, rank),
+    which has 1 in the field of every top whose chain ends there; ``loops``
+    holds each top's count of looping chains and ``ones`` 1 in every field."""
+
+    size: int
+    planes: list[tuple[list[int], list[int]]]
+    loops: int
+    ones: int
+
+
+def _top_block(chains: list[TopChains], code: str) -> TopBlock:
+    """The ``TopBlock`` of the tops with these ``chains``.  A rank occurs at
+    most once in a top's ends of one length (y = s^m o d), so each top's
+    ends make a 0/1 row over the ranks, and one strided slice copies it into
+    that top's field of every plane's bytes."""
+    width = array(code).itemsize
+    stride = width * len(chains)
+    low = 0 if sys.byteorder == "little" else width - 1  # the byte that holds 1
+    planes = []
+    for m in range(max(len(c.ends) for c in chains)):
+        support = sorted(set().union(*(c.ends[m] for c in chains if m < len(c.ends))))
+        at = dict(zip(support, itertools.count()))
+        flat = bytearray(stride * len(support))
+        for i, c in enumerate(chains):
+            if m < len(c.ends):
+                row = bytearray(len(support))
+                _scatter(row, map(at.__getitem__, c.ends[m]), itertools.repeat(1))
+                flat[i * width + low :: stride] = row
+        view = memoryview(flat)
+        rows = (view[i : i + stride] for i in range(0, len(flat), stride))
+        planes.append((support, [int.from_bytes(r, sys.byteorder) for r in rows]))
+
+    def packed(counts: Iterable[int]) -> int:
+        return int.from_bytes(array(code, counts).tobytes(), sys.byteorder)
+
+    loops = packed(c.loops for c in chains)
+    return TopBlock(len(chains), planes, loops, packed([1] * len(chains)))
+
+
+def _top_blocks(tops: list[Perm], code: str) -> Iterable[TopBlock]:
+    """``tops`` cut, in order, into blocks whose planes reach
+    ``PLANE_BUDGET`` bytes (the last may hold less), each top's chains
+    built once and kept as 4-byte ranks until its block is made."""
+    width = array(code).itemsize
+    chains: list[TopChains] = []
+    support: list[set[int]] = []
+    for top in tops:
+        ends, loops = _top_chains(top)
+        chains.append(TopChains(tuple(array("I", e) for e in ends), loops))
+        support += [set() for _ in range(len(ends) - len(support))]
+        for ranks, ends_m in zip(support, ends):
+            ranks.update(ends_m)
+        if width * len(chains) * sum(map(len, support)) >= PLANE_BUDGET:
+            yield _top_block(chains, code)
+            chains, support = [], []
+    if chains:
+        yield _top_block(chains, code)
+
+
+def _block_counts(block: TopBlock, lower: LowerPrefix) -> dict[int | float, int]:
+    """By T, the block's counter of the secrets besides the identity that
+    take 1 + T guesses under ``lower`` (T = LOOPED: they loop).
+
+    Per chain length m, the planes of the ranks where V = v are added into
+    the counter of T = m + v by one C-level ``sum``; the lower histogram
+    adds ``weighted[T]`` to every field.  Every addend is nonnegative and a
+    field's total over all counters is n! - 1, which its width holds, so no
+    sum carries from one field into the next."""
+    counts = {t: cnt * block.ones for t, cnt in lower.weighted.items()}
+    if block.loops:
+        counts[LOOPED] = counts.get(LOOPED, 0) + block.loops
+    for m, (support, planes) in enumerate(block.planes, 1):
+        found = bytes(map(lower.values.__getitem__, support))
+        for v in set(found):
+            t = LOOPED if v == LOOPED_CODE else m + v
+            selected = itertools.compress(planes, found.translate(_SELECT[v]))
+            counts[t] = counts.get(t, 0) + sum(selected)
+    return counts
+
+
+def _top_counts(
+    n: int, tops: list[Perm], lowers: list[LowerPrefix]
+) -> list[dict[int | float, memoryview]]:
+    """``LowerPrefix.counts`` under each of ``lowers`` for ``tops``, the top
+    at index i in field i: one pass over the lower prefixes per block of
+    tops, then each counter read out once, as an array of its fields."""
+    code = _field_code(n)
+    totals: list[dict[int | float, int]] = [{} for _ in lowers]
+    shift = 0
+    for block in _top_blocks(tops, code):
+        for total, lower in zip(totals, lowers):
+            for t, count in _block_counts(block, lower).items():
+                total[t] = total.get(t, 0) | count << shift
+        shift += 8 * array(code).itemsize * block.size
+    size = shift // 8
+    return [
+        {t: memoryview(c.to_bytes(size, sys.byteorder)).cast(code) for t, c in total.items()}
+        for total in totals
+    ]
+
+
 def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> Stats:
     """Generating function and first-hit-class counts via the memoized
     subgame decomposition.
 
     The returned dict maps the first-hit round i in {1, 2, 3} to the number
     of secrets solved in exactly three guesses whose first correct position
-    appeared on guess i.  The top size is read off ``memo.lower``'s lookup
-    table when ``_evaluate`` prepared it for this lower prefix.
+    appeared on guess i.  When ``_evaluate`` prepared ``memo.lower`` for
+    this lower prefix, a recurring top's counts are read off its counters
+    and any other top's top size off the lookup table V.
     """
     n = strategy.n
     memo = memo or SubgameMemo()
     lower = memo.lower
     if lower is None or lower.components != strategy.components[:-1]:
         lower = _lower_stats(strategy, memo)
-    if lower.values is None:
-        tables = memo.tables_up_to(strategy, n - 1)
-        tables[n] = {}  # the top-size table stays local to this strategy
-        hist = _size_stats(n, strategy, tables)
+    field = (lower.fields or {}).get(strategy.top)
+    if field is not None:
+        counts = {t: view[field] for t, view in lower.counts.items()}
     else:
-        hist = _top_stats(strategy.top, lower.values, lower.chains.get(strategy.top))
-    counts = lower.weighted + Counter(hist)
+        if lower.values is None:
+            tables = memo.tables_up_to(strategy, n - 1)
+            tables[n] = {}  # the top-size table stays local to this strategy
+            hist = _size_stats(n, strategy, tables)
+        else:
+            hist = _top_stats(strategy.top, lower.values)
+        counts = lower.weighted + Counter(hist)
     loops = counts.pop(LOOPED, 0)
-    gf = GFCoefficients(n, {1: 1, **{t + 1: cnt for t, cnt in counts.items()}}, loops)
+    gf = GFCoefficients(n, {1: 1, **{t + 1: cnt for t, cnt in counts.items() if cnt}}, loops)
     # A top-size d with T(d) = 2 is hit on guess two exactly when its first
     # step locked something; otherwise guess three is its first hit.  Then
     # s o d is deranged and s o s o d = identity (s = s_n), so the only such
     # d is s^-2, a derangement exactly when s o s is one (s o d = s^-1 is).
     no_lock = int(perms.is_derangement(perms.compose(strategy.top, strategy.top)))
-    return gf, {1: lower.weighted[2], 2: hist.get(2, 0) - no_lock, 3: no_lock}
+    hit_one = lower.weighted[2]
+    return gf, {1: hit_one, 2: counts.get(2, 0) - hit_one - no_lock, 3: no_lock}
 
 
 def gf_playback(strategy: Strategy) -> Stats:
@@ -507,22 +641,27 @@ def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
     """Decomposition of each representative, with one memo for them all.
 
     Each run of representatives that share a lower prefix is one group: its
-    lower sizes, their histogram sum and its lookup table V are built once,
-    then each top is read off V.  The chains of a top that occurs more than
-    once in ``reps`` are built once and kept."""
+    lower sizes, their histogram sum and its lookup table V are built once.
+    The tops that occur more than once in ``reps`` are counted under every
+    group at once by ``_top_counts``; any other top is read off V.  Each
+    group's V and counters (n! bytes and a few bytes per recurring top and
+    T) are kept until its representatives are evaluated."""
     memo = SubgameMemo()
     n = len(reps[0]) if reps else 0
-    ranked = 1 < n <= MAX_RANKED
-    tops = Counter(comps[-1] for comps in reps) if ranked else {}
-    chains = {top: _top_chains(top) for top, count in tops.items() if count > 1}
+    if not 1 < n <= MAX_RANKED:
+        return [decomposition_stats(Strategy(comps), memo) for comps in reps]
+    groups = [list(group) for _, group in itertools.groupby(reps, key=lambda comps: comps[:-1])]
+    lowers = []
+    for group in groups:
+        first = Strategy(group[0])
+        lower = _lower_stats(first, memo)
+        lowers.append(lower._replace(values=_top_values(n, memo.tables_up_to(first, n - 1))))
+    tops = [top for top, count in Counter(comps[-1] for comps in reps).items() if count > 1]
+    fields = dict(zip(tops, itertools.count()))
     out = []
-    for _, group in itertools.groupby(reps, key=lambda comps: comps[:-1]):
-        group = [Strategy(comps) for comps in group]
-        if ranked:
-            lower = _lower_stats(group[0], memo)
-            values = _top_values(n, memo.tables_up_to(group[0], n - 1))
-            memo.lower = lower._replace(values=values, chains=chains)
-        out += [decomposition_stats(s, memo) for s in group]
+    for group, lower, counts in zip(groups, lowers, _top_counts(n, tops, lowers)):
+        memo.lower = lower._replace(fields=fields, counts=counts)
+        out += [decomposition_stats(Strategy(comps), memo) for comps in group]
     return out
 
 

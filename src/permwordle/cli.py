@@ -51,8 +51,8 @@ def _dumps(obj) -> str:
     return json.dumps(json_value(obj), separators=(",", ":"))
 
 
-def _write_stdout(text: str) -> None:
-    """Write all of ``text`` to stdout.
+def _write_stdout(*parts: str) -> None:
+    """Write all of each of ``parts`` to stdout, in order.
 
     An unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) passes each
     write straight to the raw file and drops whatever a short write leaves,
@@ -61,21 +61,24 @@ def _write_stdout(text: str) -> None:
     """
     raw = getattr(sys.stdout, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
         return
     sys.stdout.flush()
     writer = io.BufferedWriter(raw)
-    writer.write(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    for part in parts:
+        writer.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
     writer.flush()
     writer.detach()  # leaves stdout open
 
 
 def _write_output(text: str, args) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+    """``text`` to stdout or ``args.output``, ending in one newline, which
+    is written after it rather than appended to a copy of it."""
+    parts = (text,) if text.endswith("\n") else (text, "\n")
     dest = getattr(args, "output", None)
     if dest is None or dest == "-":
-        _write_stdout(text)
+        _write_stdout(*parts)
         return
     path = Path(dest)
     if not path.is_absolute():
@@ -83,7 +86,8 @@ def _write_output(text: str, args) -> None:
         if outdir:
             path = Path(outdir) / path
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as out:
+        out.writelines(parts)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

@@ -19,6 +19,7 @@ full game on secret pi takes 1 + T(relative_derangement(pi)) guesses.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -161,7 +162,11 @@ def play(secret: Perm, strategy: Strategy) -> GameTrace:
     repeats, keeping every guess and correct set (the traced oracle)."""
     secret = perms.validate(secret)
     guesses, _, solved = _game(secret, strategy)
-    sets = tuple(feedback(guess, secret) for guess in guesses)
+    positions = range(1, len(secret) + 1)
+    sets = tuple(
+        frozenset(itertools.compress(positions, map(operator.eq, guess, secret)))
+        for guess in guesses
+    )
     return GameTrace(secret, tuple(guesses), sets, "solved" if solved else "looped")
 
 

@@ -1,3 +1,5 @@
+import array
+import collections
 import itertools
 import random
 import sys
@@ -6,7 +8,7 @@ from math import factorial, inf
 
 import pytest
 
-from permwordle import analysis, engine, perms, strategies
+from permwordle import analysis, closedform, engine, perms, strategies
 from permwordle.analysis import GFCoefficients, ScanCostError
 from permwordle.engine import LOOPED, SubgameMemo
 
@@ -300,6 +302,98 @@ def test_evaluate_is_the_same_over_any_split(kind, n):
     assert [r for chunk in chunks for r in analysis._evaluate(chunk)] == whole
 
 
+@pytest.mark.parametrize(
+    "kind, n, budget, code",
+    [
+        ("cyclic", 3, None, None),
+        ("cyclic", 5, None, None),
+        ("deranged", 5, None, None),
+        ("cyclic", 5, 1, None),
+        ("deranged", 5, 4096, None),
+        ("deranged", 5, None, "I"),
+        ("cyclic", 4, 1, "I"),
+    ],
+)
+def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, budget, code):
+    """``_evaluate`` counts every top that recurs in its chunk with the
+    bit-sliced counters of ``_top_counts``; each strategy's (gf, rho) must
+    equal its lone decomposition, with the tops in one block or cut into
+    many (a small ``PLANE_BUDGET``) and with 2- or 4-byte fields.  Below
+    n = 4 no top recurs, and every top goes through ``_top_stats``.  (The
+    other sizes to 5 are compared by
+    ``test_lookup_route_equals_fresh_decomposition``.)"""
+    if budget:
+        monkeypatch.setattr(analysis, "PLANE_BUDGET", budget)
+    if code:
+        monkeypatch.setattr(analysis, "_field_code", lambda n: code)
+    blocks, lone = [], []
+    make_block, top_stats = analysis._top_block, analysis._top_stats
+
+    def block(chains, code):
+        blocks.append(len(chains))
+        return make_block(chains, code)
+
+    def single(top, values):
+        lone.append(top)
+        return top_stats(top, values)
+
+    monkeypatch.setattr(analysis, "_top_block", block)
+    monkeypatch.setattr(analysis, "_top_stats", single)
+    family = [s.components for s in strategies.enumerate_strategies(n, kind)]
+    assert analysis._evaluate(family) == [
+        analysis.decomposition_stats(strategies.Strategy(c)) for c in family
+    ]
+    tops = collections.Counter(c[-1] for c in family)
+    assert sum(blocks) == sum(count > 1 for count in tops.values()) == (n > 3) * len(tops)
+    assert len(lone) == (1 < n < 4) * len(tops)
+    if budget == 1:
+        assert set(blocks) == {1}
+    if budget == 4096:
+        assert len(blocks) > 1
+
+
+def test_field_width_holds_every_total():
+    """A field's total is n! - 1 secrets: 2 bytes hold it up to n = 8,
+    4 bytes at n = 9, the largest ranked size."""
+    sizes = range(2, analysis.MAX_RANKED + 1)
+    assert [analysis._field_code(n) for n in sizes] == ["H"] * 7 + ["I"]
+    for n in sizes:
+        assert factorial(n) - 1 < 1 << 8 * array.array(analysis._field_code(n)).itemsize
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "inductive"])
+def test_scan_keeps_the_traced_entry_points(monkeypatch, kind):
+    """``perfbench/traced.py`` wraps ``analysis.decomposition_stats`` and
+    ``analysis.SubgameMemo`` as module attributes and reads the memo's
+    tables after a scan: a jobs=1 scan must call the wrapped function once
+    per representative, in order, on one memo made by the patched class,
+    and leave that memo's lower tables and histograms filled."""
+    memos, calls = [], []
+
+    class RecordingMemo(SubgameMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    decompose = analysis.decomposition_stats
+
+    def recording(strategy, memo=None):
+        calls.append((strategy.components, memo))
+        return decompose(strategy, memo)
+
+    monkeypatch.setattr(analysis, "SubgameMemo", RecordingMemo)
+    monkeypatch.setattr(analysis, "decomposition_stats", recording)
+    analysis.scan(5, kind, jobs=1)
+    _, reps = analysis._orbit_map(5, kind)
+    assert [comps for comps, _ in calls] == reps
+    assert len(memos) == 1 and all(memo is memos[0] for _, memo in calls)
+    for comps in reps:
+        s = strategies.Strategy(comps)
+        for k in range(2, 5):
+            assert len(memos[0].table(s, k)) == closedform.derangement_count(k)
+            assert comps[:k] in memos[0].hist_cache
+
+
 def _reference_ranks(n):
     """``analysis._ranks`` built one permutation at a time: each word packed
     by itself, each x with a fixed point filled in place, x(W_j) = W_e(j)."""
@@ -408,7 +502,7 @@ def test_top_chains_are_prefix_independent(n):
             looped = sum(values[y] == analysis.LOOPED_CODE for _, y in ranked)
             assert fresh.count(LOOPED) == chains.loops + looped
             hist = {t: fresh.count(t) for t in fresh}
-            assert analysis._top_stats(top, values, chains) == hist
+            assert analysis._top_stats(top, values) == hist
             assert analysis.decomposition_stats(s)[1][3] == no_lock
 
 
