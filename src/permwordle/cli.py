@@ -52,7 +52,7 @@ def _dumps(obj) -> str:
 
 
 def _write_stdout(*parts: str) -> None:
-    """Write all of each of ``parts`` to stdout, in order.
+    """Write every one of ``parts`` to stdout in full, in order.
 
     An unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) passes each
     write straight to the raw file and drops whatever a short write leaves,
