@@ -21,8 +21,9 @@ the lower prefix and m, y come from the no-lock chains of the top component
 recur in a worker's chunk are counted together: big-int counters hold one
 fixed-width field per top, and one C-level sum of chain-end planes per
 chain length m and value v of V adds to every top's count of T = m + v at
-once (``_top_counts``), so each such strategy costs only the assembly of
-its generating function.  A lone top is read off V by itself
+once.  One set of planes serves every lower prefix of the chunk
+(``_top_counts``), so each such strategy costs only the assembly of its
+generating function.  A lone top is read off V by itself
 (``_top_stats``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
@@ -282,9 +283,6 @@ def _lower_stats(strategy: Strategy, memo: SubgameMemo) -> LowerPrefix:
     return LowerPrefix(strategy.components[:-1], weighted)
 
 
-# The bytes of counter planes at which a block of tops stops growing: a
-# worker holds the planes and compact chains of about two blocks at most.
-PLANE_BUDGET = 4 << 20
 # _SELECT[v] translates byte v to 1 and every other byte to 0.
 _SELECT = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]
 
@@ -296,13 +294,13 @@ def _field_code(n: int) -> str:
 
 
 class TopBlock(NamedTuple):
-    """Bit-sliced counters for a block of ``size`` tops: big ints with one
-    fixed-width field per top.  ``planes[m - 1]`` pairs the ranks where
-    some top's chain of length m ends with the plane of each such (m, rank),
-    which has 1 in the field of every top whose chain ends there; ``loops``
-    holds each top's count of looping chains and ``ones`` 1 in every field."""
+    """Bit-sliced counters for the recurring tops of a scan chunk: big ints
+    with one fixed-width field per top.  ``planes[m - 1]`` pairs the ranks
+    where some top's chain of length m ends with the plane of each such
+    (m, rank), which has 1 in the field of every top whose chain ends
+    there; ``loops`` holds each top's count of looping chains and ``ones``
+    1 in every field."""
 
-    size: int
     planes: list[tuple[list[int], list[int]]]
     loops: int
     ones: int
@@ -333,28 +331,7 @@ def _top_block(chains: list[TopChains], code: str) -> TopBlock:
     def packed(counts: Iterable[int]) -> int:
         return int.from_bytes(array(code, counts).tobytes(), sys.byteorder)
 
-    loops = packed(c.loops for c in chains)
-    return TopBlock(len(chains), planes, loops, packed([1] * len(chains)))
-
-
-def _top_blocks(tops: list[Perm], code: str) -> Iterable[TopBlock]:
-    """``tops`` cut, in order, into blocks whose planes reach
-    ``PLANE_BUDGET`` bytes (the last may hold less), each top's chains
-    built once and kept as 4-byte ranks until its block is made."""
-    width = array(code).itemsize
-    chains: list[TopChains] = []
-    support: list[set[int]] = []
-    for top in tops:
-        ends, loops = _top_chains(top)
-        chains.append(TopChains(tuple(array("I", e) for e in ends), loops))
-        support += [set() for _ in range(len(ends) - len(support))]
-        for ranks, ends_m in zip(support, ends):
-            ranks.update(ends_m)
-        if width * len(chains) * sum(map(len, support)) >= PLANE_BUDGET:
-            yield _top_block(chains, code)
-            chains, support = [], []
-    if chains:
-        yield _top_block(chains, code)
+    return TopBlock(planes, packed(c.loops for c in chains), packed([1] * len(chains)))
 
 
 def _block_counts(block: TopBlock, lower: LowerPrefix) -> dict[int | float, int]:
@@ -382,21 +359,28 @@ def _top_counts(
     n: int, tops: list[Perm], lowers: list[LowerPrefix]
 ) -> list[dict[int | float, memoryview]]:
     """``LowerPrefix.counts`` under each of ``lowers`` for ``tops``, the top
-    at index i in field i: one pass over the lower prefixes per block of
-    tops, then each counter read out once, as an array of its fields."""
+    at index i in field i: one ``TopBlock`` of all the tops, one pass over
+    it per lower prefix, and each counter read out once, as an array of its
+    fields.  No tops give empty counters."""
+    if not tops:
+        return [{} for _ in lowers]
     code = _field_code(n)
-    totals: list[dict[int | float, int]] = [{} for _ in lowers]
-    shift = 0
-    for block in _top_blocks(tops, code):
-        for total, lower in zip(totals, lowers):
-            for t, count in _block_counts(block, lower).items():
-                total[t] = total.get(t, 0) | count << shift
-        shift += 8 * array(code).itemsize * block.size
-    size = shift // 8
+    block = _top_block([_top_chains(top) for top in tops], code)
+    size = array(code).itemsize * len(tops)
     return [
-        {t: memoryview(c.to_bytes(size, sys.byteorder)).cast(code) for t, c in total.items()}
-        for total in totals
+        {
+            t: memoryview(c.to_bytes(size, sys.byteorder)).cast(code)
+            for t, c in _block_counts(block, lower).items()
+        }
+        for lower in lowers
     ]
+
+
+@lru_cache(maxsize=None)
+def _no_lock(top: Perm) -> int:
+    """1 if s o s is deranged for the top s, else 0: the number of top-size
+    d with T(d) = 2 whose first hit is guess three (``decomposition_stats``)."""
+    return int(perms.is_derangement(perms.compose(top, top)))
 
 
 def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> Stats:
@@ -431,7 +415,7 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
     # step locked something; otherwise guess three is its first hit.  Then
     # s o d is deranged and s o s o d = identity (s = s_n), so the only such
     # d is s^-2, a derangement exactly when s o s is one (s o d = s^-1 is).
-    no_lock = int(perms.is_derangement(perms.compose(strategy.top, strategy.top)))
+    no_lock = _no_lock(strategy.top)
     hit_one = lower.weighted[2]
     return gf, {1: hit_one, 2: counts.get(2, 0) - hit_one - no_lock, 3: no_lock}
 
@@ -493,11 +477,20 @@ def average_j2_over_derangements(component: Perm) -> Fraction:
 
 
 class ScanCostError(RuntimeError):
-    """A scan was refused because its estimated work exceeds the limit."""
+    """A scan was refused because its estimated work exceeds the limit.
 
-    def __init__(self, n: int, kind: str, estimate: int, limit: int) -> None:
+    ``estimate`` is the estimate at n, or, when ``at`` names a smaller size,
+    the estimate there, which already exceeds the limit and bounds the
+    estimate at n from below."""
+
+    def __init__(
+        self, n: int, kind: str, estimate: int, limit: int, at: int | None = None
+    ) -> None:
+        bound = f"{estimate:,}"
+        if at not in (None, n):
+            bound = f"more than {bound} (its estimate at n={at})"
         super().__init__(
-            f"scan(n={n}, kind={kind!r}) is estimated at {estimate:,} subgame "
+            f"scan(n={n}, kind={kind!r}) is estimated at {bound} subgame "
             f"evaluations, above the limit of {limit:,}; pass a larger "
             f"max_cost to run it anyway"
         )
@@ -516,10 +509,16 @@ def estimate_scan_cost(n: int, kind: str) -> int:
 
 
 def check_scan_cost(n: int, kind: str, max_cost: int) -> None:
-    """Refuse a scan whose estimated work exceeds ``max_cost``."""
-    estimate = estimate_scan_cost(n, kind)
-    if estimate > max_cost:
-        raise ScanCostError(n, kind, estimate, max_cost)
+    """Refuse a scan whose estimated work exceeds ``max_cost``.
+
+    Both factors of the estimate grow with n, so sizes are priced upward
+    from 3 and the first one past the limit refuses n.  A large n is thus
+    refused at once, where its own estimate would take minutes and have
+    millions of digits."""
+    for m in range(min(n, 3), n + 1):
+        estimate = estimate_scan_cost(m, kind)
+        if estimate > max_cost:
+            raise ScanCostError(n, kind, estimate, max_cost, m)
 
 
 @dataclass(frozen=True)
@@ -643,7 +642,8 @@ def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
     Each run of representatives that share a lower prefix is one group: its
     lower sizes, their histogram sum and its lookup table V are built once.
     The tops that occur more than once in ``reps`` are counted under every
-    group at once by ``_top_counts``; any other top is read off V.  Each
+    group at once by ``_top_counts``, from one set of planes whose size
+    grows with the number of those tops; any other top is read off V.  Each
     group's V and counters (n! bytes and a few bytes per recurring top and
     T) are kept until its representatives are evaluated."""
     memo = SubgameMemo()

@@ -303,27 +303,22 @@ def test_evaluate_is_the_same_over_any_split(kind, n):
 
 
 @pytest.mark.parametrize(
-    "kind, n, budget, code",
+    "kind, n, code",
     [
-        ("cyclic", 3, None, None),
-        ("cyclic", 5, None, None),
-        ("deranged", 5, None, None),
-        ("cyclic", 5, 1, None),
-        ("deranged", 5, 4096, None),
-        ("deranged", 5, None, "I"),
-        ("cyclic", 4, 1, "I"),
+        ("cyclic", 3, None),
+        ("cyclic", 5, None),
+        ("deranged", 5, None),
+        ("deranged", 5, "I"),
+        ("cyclic", 4, "I"),
     ],
 )
-def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, budget, code):
+def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, code):
     """``_evaluate`` counts every top that recurs in its chunk with the
-    bit-sliced counters of ``_top_counts``; each strategy's (gf, rho) must
-    equal its lone decomposition, with the tops in one block or cut into
-    many (a small ``PLANE_BUDGET``) and with 2- or 4-byte fields.  Below
-    n = 4 no top recurs, and every top goes through ``_top_stats``.  (The
-    other sizes to 5 are compared by
+    bit-sliced counters of ``_top_counts``, all in one ``TopBlock``; each
+    strategy's (gf, rho) must equal its lone decomposition, with 2- or
+    4-byte fields.  Below n = 4 no top recurs, and every top goes through
+    ``_top_stats``.  (The other sizes to 5 are compared by
     ``test_lookup_route_equals_fresh_decomposition``.)"""
-    if budget:
-        monkeypatch.setattr(analysis, "PLANE_BUDGET", budget)
     if code:
         monkeypatch.setattr(analysis, "_field_code", lambda n: code)
     blocks, lone = [], []
@@ -344,12 +339,10 @@ def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, budget, c
         analysis.decomposition_stats(strategies.Strategy(c)) for c in family
     ]
     tops = collections.Counter(c[-1] for c in family)
-    assert sum(blocks) == sum(count > 1 for count in tops.values()) == (n > 3) * len(tops)
+    recurring = sum(count > 1 for count in tops.values())
+    assert recurring == (n > 3) * len(tops)
+    assert blocks == ([recurring] if recurring else [])
     assert len(lone) == (1 < n < 4) * len(tops)
-    if budget == 1:
-        assert set(blocks) == {1}
-    if budget == 4096:
-        assert len(blocks) > 1
 
 
 def test_field_width_holds_every_total():

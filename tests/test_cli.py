@@ -5,6 +5,7 @@ import json
 import os
 import re
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -250,6 +251,19 @@ def test_scan_refusal_reports_estimate(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "max_cost" in err and "estimated" in err
+
+
+@pytest.mark.parametrize("n, kind", [(200, "deranged"), (3000, "cyclic")])
+def test_scan_refusal_at_large_n_is_quick(capsys, n, kind):
+    """The exact estimate at these sizes has more digits than an int may
+    print, and at cyclic n = 3000 takes minutes to compute; the refusal
+    must come at once and name the limit."""
+    started = time.perf_counter()
+    code = cli.main(["scan", "--n", str(n), "--class", kind])
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "max_cost" in err and f"{analysis.DEFAULT_MAX_COST:,}" in err
 
 
 def test_verify_cli_pass(capsys):
