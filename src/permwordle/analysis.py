@@ -10,7 +10,10 @@ first-hit-class counts, each as one (gf, rho) pair from one pass:
   the count of secrets solved in 1 + t guesses is
   sum over k of C(n, k) * #{d in D_k : T(d) = t}.
 
-The two pairs must agree everywhere; tests enforce it.  Scans use the
+The two pairs must agree everywhere; tests enforce it.  Each size k of
+the decomposition is one pass over D_k (``_size_stats``): the derangements
+are grouped by the positions they lock, and each group's successors are
+relabelled and looked up at once.  Scans use the
 decomposition with a memo shared across strategies that agree on component
 prefixes, which is what makes family-wide sweeps cheap, and evaluate only
 one strategy per rotation or mirror orbit (``_orbit_map``, checked against
@@ -45,7 +48,7 @@ from math import comb, factorial, inf
 from typing import Iterable, NamedTuple
 
 from . import closedform, perms, strategies
-from .engine import LOOPED, SubgameMemo, Tables, _chase, _game, successor
+from .engine import LOOPED, SubgameMemo, Tables, _game
 from .perms import Perm
 from .strategies import Strategy
 
@@ -232,25 +235,95 @@ def _top_stats(top: Perm, values: bytes) -> Hist:
     return hist
 
 
+_IDENTITY = bytes(range(256))  # the translation table of the identity
+
+
+@lru_cache(maxsize=None)
+def _lock_bits(k: int) -> tuple[bytes, ...]:
+    """Per position q < k, the translation table from the byte q + 1, a
+    fixed point at q, to bit q mod 8 of a lock-set key byte, and from every
+    other byte to 0."""
+    tables = [bytearray(256) for _ in range(k)]
+    for q, table in enumerate(tables):
+        table[q + 1] = 1 << q % 8
+    return tuple(map(bytes, tables))
+
+
+def _lock_keys(rows: bytes, k: int) -> memoryview:
+    """The fixed points of each size-k permutation in the flat ``rows`` as
+    one int key with bit q set when position q + 1 is fixed.  Each column
+    is one ``translate`` to its bit; the columns of 8 positions are OR-ed
+    into one byte plane as big ints, and the planes are interleaved into a
+    1-, 2- or 4-byte key per row."""
+    count = len(rows) // k
+    code, width = ("B", 1) if k <= 8 else ("H", 2) if k <= 16 else ("I", 4)
+    bits = _lock_bits(k)
+    keys = bytearray(width * count)
+    for low in range(0, k, 8):
+        plane = 0
+        for q in range(low, min(low + 8, k)):
+            plane |= int.from_bytes(rows[q::k].translate(bits[q]), "little")
+        byte = low // 8 if sys.byteorder == "little" else width - 1 - low // 8
+        keys[byte::width] = plane.to_bytes(count, "little")
+    return memoryview(keys).cast(code)
+
+
+@lru_cache(maxsize=None)
+def _relabel(k: int, key: int) -> tuple[int, bytes, bytes]:
+    """For a size-k permutation x whose fixed points are the bits of
+    ``key``: the size of rd(x), the translation table from each incorrect
+    value q + 1 to the rank of q among the incorrect positions, and the
+    fixed values, which the translation deletes.  What is left of x is
+    rd(x)."""
+    wrong = [q for q in range(k) if not key >> q & 1]
+    table = bytearray(256)
+    for j, q in enumerate(wrong, 1):
+        table[q + 1] = j
+    return len(wrong), bytes(table), bytes(q + 1 for q in range(k) if key >> q & 1)
+
+
 def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
-    """Histogram of T over D_k.  Fills the size-k table completely."""
-    invs, comps = strategy.inverses, strategy.components
-    component, guess = comps[k - 1], invs[k - 1]
-    table = tables[k]
-    hist: Hist = {}
-    for d in _derangements(k):
-        t = table.get(d)
-        if t is None:
-            e = successor(d, component, guess)
-            if e:
-                t = tables[len(e)].get(e)
-                if t is None:
-                    t = _chase(e, invs, comps, tables)
-                t += 1
-            else:
-                t = 1
-            table[d] = t
-        hist[t] = hist.get(t, 0) + 1
+    """Histogram of T over D_k, from the complete tables of the sizes below
+    k.  Fills ``tables[k]`` completely when ``tables`` has a size-k table.
+
+    T(d) = 1 + T(rd(s o d)) with s = s_k, and s o d is fixed exactly where
+    the guess s^-1 agrees with d.  Round i takes the d whose s^j o d are
+    deranged for every j < i (all of D_k in round 1) and groups them by
+    the lock set of s^i o d, one key per d from ``_lock_keys``.  A group
+    with lock set L has T(d) = i + T(rd(s^i o d)), rd(s^i o d) of size
+    |W| for W the complement of L: one ``translate`` of the group's flat
+    entries by s^i and one that relabels W and deletes L give every rd at
+    once, and the size-|W| table is read by a C-level ``map`` over their
+    tuples.  The d that lock nothing go on to round i + 1.  s^i o d comes
+    back to d at the order of s, so a d that has locked nothing by then
+    never does: it loops.  A group is a list of the cached D_k tuples,
+    filled by one C-level ``map`` of ``list.append``; nothing is built per
+    d but the rd tuples, each dropped once it is looked up."""
+    step = bytes.maketrans(bytes(range(1, k + 1)), bytes(strategy.components[k - 1]))
+    table = tables.get(k)
+    hist: Counter = Counter()
+    power, rounds, pending = step, 1, _derangements(k)
+    while pending and power != _IDENTITY:
+        keys = _lock_keys(bytes(itertools.chain.from_iterable(pending)).translate(power), k)
+        groups: dict[int, list[Perm]] = {key: [] for key in set(keys)}
+        deque(map(list.append, map(groups.__getitem__, keys), pending), maxlen=0)
+        pending = groups.pop(0, [])
+        found: list[int | float] = []  # T(rd(s^i o d)) by group; 0 for the identity
+        for key, group in groups.items():
+            size, relabel, fixed = _relabel(k, key)
+            flat = bytes(itertools.chain.from_iterable(group)).translate(power)
+            rds = zip(*[iter(flat.translate(relabel, fixed))] * size)  # a tuple per `size` bytes
+            found += map(tables[size].__getitem__, rds) if size else [0]
+        ts = map(operator.add, found, itertools.repeat(rounds))
+        if table is not None:
+            ts = list(ts)
+            table.update(zip(itertools.chain.from_iterable(groups.values()), ts))
+        hist.update(ts)
+        power, rounds = power.translate(step), rounds + 1
+    if pending:
+        hist[LOOPED] += len(pending)
+        if table is not None:
+            table.update(dict.fromkeys(pending, LOOPED))
     return hist
 
 
@@ -403,9 +476,8 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
         counts = {t: view[field] for t, view in lower.counts.items()}
     else:
         if lower.values is None:
-            tables = memo.tables_up_to(strategy, n - 1)
-            tables[n] = {}  # the top-size table stays local to this strategy
-            hist = _size_stats(n, strategy, tables)
+            # The tables stop below n, so the top-size pass keeps no table.
+            hist = _size_stats(n, strategy, memo.tables_up_to(strategy, n - 1))
         else:
             hist = _top_stats(strategy.top, lower.values)
         counts = lower.weighted + Counter(hist)
@@ -601,10 +673,11 @@ def _canonical(strategy: Strategy, kind: str) -> tuple[Perm, ...]:
     return min(comps, tuple(map(strategies.mirror_component, comps)))
 
 
-def _orbit_map(n: int, kind: str) -> tuple[list[int], list[tuple[Perm, ...]]]:
+def _orbit_map(kind: str, pools: list[list[Perm]]) -> tuple[list[int], list[tuple[Perm, ...]]]:
     """Each member's orbit number and each orbit's representative, as
     numbering ``_canonical`` of every member in first-seen order gives
     them, but without a ``Strategy`` or a ``_canonical`` per member.
+    ``pools`` are the family's ``strategies.component_pools``.
 
     Inductive: tops run in lexicographic order and conjugates of an n-cycle
     are n-cycles, so an orbit's first member has its least top and is its
@@ -615,7 +688,6 @@ def _orbit_map(n: int, kind: str) -> tuple[list[int], list[tuple[Perm, ...]]]:
     each size is the mirror position of the member's digit in that pool;
     the mirror's s_3 digit is 0.
     """
-    pools = strategies.component_pools(n, kind)
     if kind == "inductive":
         lower = tuple(pool[0] for pool in pools[:-1])
         orbit_of: dict[Perm, int] = {}
@@ -625,7 +697,7 @@ def _orbit_map(n: int, kind: str) -> tuple[list[int], list[tuple[Perm, ...]]]:
                 orbit_of.update(dict.fromkeys(_rotations(top), len(reps)))
                 reps.append(lower + (top,))
         return list(map(orbit_of.__getitem__, pools[-1])), reps
-    if n < 3:
+    if len(pools) < 3:
         return [0], list(itertools.product(*pools))
     reps = list(itertools.product(*pools[:2], pools[2][:1], *pools[3:]))
     mirrors = [0]
@@ -688,7 +760,8 @@ def scan(
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     check_scan_cost(n, kind, max_cost)
-    orbits, reps = _orbit_map(n, kind)
+    pools = strategies.component_pools(n, kind)
+    orbits, reps = _orbit_map(kind, pools)
     if jobs > 1 and len(reps) >= 4 * jobs:
         if 1 < n <= MAX_RANKED:
             _ranks(n)  # built once here and shared by the forked workers
@@ -700,5 +773,5 @@ def scan(
         stats = list(itertools.chain.from_iterable(chunks))
     else:
         stats = _evaluate_orbits(reps)
-    texts = strategies.strategy_texts(n, kind)
+    texts = strategies.strategy_texts(pools)
     return ScanResult(n, kind, texts, orbits, stats, _summarize(texts, orbits, stats))

@@ -178,10 +178,11 @@ def enumerate_strategies(n: int, kind: str) -> Iterator[Strategy]:
         yield Strategy(comps, kind)
 
 
-def strategy_texts(n: int, kind: str) -> list[str]:
-    """The text of every strategy of the family, in enumeration order, from
-    each component's text, with no ``Strategy`` per member."""
-    parts = [list(map(_component_text, pool)) for pool in component_pools(n, kind)]
+def strategy_texts(pools: list[list[Perm]]) -> list[str]:
+    """The text of every strategy of the family with these
+    ``component_pools``, in enumeration order, from each component's text,
+    with no ``Strategy`` per member."""
+    parts = [list(map(_component_text, pool)) for pool in pools]
     return list(map(";".join, itertools.product(*parts)))
 
 

@@ -3,6 +3,7 @@ import collections
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial, inf
 
@@ -175,7 +176,25 @@ def test_orbit_map_equals_canonical_numbering(kind, n):
         reference.setdefault(analysis._canonical(s, kind), len(reference))
         for s in strategies.enumerate_strategies(n, kind)
     ]
-    assert analysis._orbit_map(n, kind) == (orbits, list(reference))
+    pools = strategies.component_pools(n, kind)
+    assert analysis._orbit_map(kind, pools) == (orbits, list(reference))
+
+
+@pytest.mark.parametrize("kind, n", [("cyclic", 5), ("deranged", 4), ("inductive", 6)])
+def test_scan_builds_the_pools_once(monkeypatch, kind, n):
+    """A scan builds its family's component pools once and hands them to
+    both the orbit map and the member texts."""
+    calls = []
+    pools = strategies.component_pools
+
+    def counting(*args):
+        calls.append(args)
+        return pools(*args)
+
+    monkeypatch.setattr(strategies, "component_pools", counting)
+    result = analysis.scan(n, kind, jobs=1)
+    assert calls == [(n, kind)]
+    assert result.texts == [s.text for s in strategies.enumerate_strategies(n, kind)]
 
 
 @pytest.mark.parametrize(
@@ -377,7 +396,7 @@ def test_scan_keeps_the_traced_entry_points(monkeypatch, kind):
     monkeypatch.setattr(analysis, "SubgameMemo", RecordingMemo)
     monkeypatch.setattr(analysis, "decomposition_stats", recording)
     analysis.scan(5, kind, jobs=1)
-    _, reps = analysis._orbit_map(5, kind)
+    _, reps = analysis._orbit_map(kind, strategies.component_pools(5, kind))
     assert [comps for comps, _ in calls] == reps
     assert len(memos) == 1 and all(memo is memos[0] for _, memo in calls)
     for comps in reps:
@@ -385,6 +404,119 @@ def test_scan_keeps_the_traced_entry_points(monkeypatch, kind):
         for k in range(2, 5):
             assert len(memos[0].table(s, k)) == closedform.derangement_count(k)
             assert comps[:k] in memos[0].hist_cache
+
+
+def _reference_size_stats(k, strategy, tables):
+    """``analysis._size_stats`` one derangement at a time: each d's T from
+    ``engine.successor`` and the size-|e| table, or a chase by
+    ``engine._chase`` when that entry is missing.  Fills the size-k table."""
+    invs, comps = strategy.inverses, strategy.components
+    component, guess = comps[k - 1], invs[k - 1]
+    table = tables[k]
+    hist = {}
+    for d in analysis._derangements(k):
+        t = table.get(d)
+        if t is None:
+            e = engine.successor(d, component, guess)
+            if e:
+                t = tables[len(e)].get(e)
+                if t is None:
+                    t = engine._chase(e, invs, comps, tables)
+                t += 1
+            else:
+                t = 1
+            table[d] = t
+        hist[t] = hist.get(t, 0) + 1
+    return hist
+
+
+def _random_cycle(rng, k):
+    order = [1] + rng.sample(range(2, k + 1), k - 1)
+    image = [0] * k
+    for i, v in enumerate(order):
+        image[v - 1] = order[(i + 1) % k]
+    return tuple(image)
+
+
+def _seeded_cyclic(n, seed):
+    rng = random.Random(seed)
+    return strategies.Strategy(((1,), (2, 1)) + tuple(_random_cycle(rng, k) for k in range(3, n + 1)))
+
+
+# A deranged strategy whose top size has both kinds of loop: 80 d that
+# lock nothing by the order of s_6, and 128 that lock into a looping subgame.
+BOTH_LOOPS = strategies.parse_strategy("1;2,1;2,3,1;2,1,4,3;2,1,4,5,3;2,1,4,3,6,5")
+
+
+@pytest.mark.parametrize(
+    "family",
+    [("cyclic", n) for n in range(2, 6)]
+    + [("deranged", n) for n in range(2, 6)]
+    + [("inductive", n) for n in range(3, 8)]
+    + [("seeded", n) for n in (8, 9)]
+    + [("both-loops", 6)],
+    ids=lambda family: "-".join(map(str, family)),
+)
+def test_size_pass_equals_the_per_derangement_loop(family):
+    """Every size of every strategy: the lock-set pass gives the histogram
+    and the size-k table of the loop over D_k through ``engine.successor``
+    and ``engine._chase``.  Seeded n = 9 puts position 9 in the second byte
+    of the lock-set keys; the deranged families and ``BOTH_LOOPS`` loop."""
+    kind, n = family
+    if kind == "seeded":
+        family = [_seeded_cyclic(n, 2000 + n + seed) for seed in range(3)]
+    elif kind == "both-loops":
+        family = [BOTH_LOOPS]
+    else:
+        family = list(strategies.enumerate_strategies(n, kind))
+    fresh, reference, seen = SubgameMemo(), SubgameMemo(), set()
+    for s in family:
+        for k in range(2, n + 1):
+            if s.components[:k] in seen:
+                continue  # the size-k result depends on s_1..s_k only
+            seen.add(s.components[:k])
+            hist = analysis._size_stats(k, s, fresh.tables_up_to(s, k))
+            assert hist == _reference_size_stats(k, s, reference.tables_up_to(s, k))
+            assert fresh.table(s, k) == reference.table(s, k)
+    if kind == "both-loops":
+        assert hist[LOOPED] == 80 + 128
+
+
+def test_size_pass_keeps_no_top_table():
+    """Without a size-k table the pass only counts: the lone top-size pass
+    of ``decomposition_stats`` keeps no table and fills none below."""
+    s = _seeded_cyclic(7, 7)
+    memo = SubgameMemo()
+    analysis.decomposition_stats(s, memo)
+    tables = memo.tables_up_to(s, 6)
+    before = {k: dict(table) for k, table in tables.items()}
+    hist = analysis._size_stats(7, s, tables)
+    assert tables == before and 7 not in tables
+    assert hist == _reference_size_stats(7, s, SubgameMemo().tables_up_to(s, 7))
+
+
+def test_decomposition_peak_is_below_the_per_derangement_loop():
+    """``tracemalloc`` peak of a fresh decomposition at n = 8, with the
+    derangements cached: the lock-set pass builds nothing per d that it
+    keeps, and no top-size table, so it stays below the loop's peak."""
+    s = _seeded_cyclic(8, 8)
+    for k in range(2, 9):
+        analysis._derangements(k)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def loop():
+        tables = SubgameMemo().tables_up_to(s, 8)
+        for k in range(2, 9):
+            _reference_size_stats(k, s, tables)
+
+    assert peak(lambda: analysis.decomposition_stats(s)) <= peak(loop)
 
 
 def _reference_ranks(n):
@@ -530,8 +662,9 @@ def test_memo_keeps_at_most_one_lookup_table(monkeypatch):
 
 
 def test_single_strategy_builds_no_lookup():
-    """A lone strategy (``gf``, ``avg``) keeps the subgame-by-subgame top
-    pass: it builds no rank structure, which costs about 0.6 s at n = 9."""
+    """A lone strategy (``gf``, ``avg``) takes its top size from the
+    lock-set pass: it builds no rank structure, which costs about 0.6 s at
+    n = 9."""
     analysis._ranks.cache_clear()
     analysis.generating_function(strategies.cyclic_shift(7))
     analysis.decomposition_stats(strategies.cyclic_shift(7), SubgameMemo())

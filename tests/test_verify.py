@@ -201,11 +201,12 @@ def test_scan_symmetry_fails_on_a_wrong_orbit_map(monkeypatch):
     disagree with per-strategy decomposition and the check must fail."""
     orbit_map = analysis._orbit_map
 
-    def wrong(n, kind):
+    def wrong(kind, pools):
         if kind == "inductive":
+            n = len(pools)
             members = strategies.count_strategies(n, kind)
             return [0] * members, [strategies.cyclic_shift(n).components]
-        return orbit_map(n, kind)
+        return orbit_map(kind, pools)
 
     monkeypatch.setattr(analysis, "_orbit_map", wrong)
     report = verify("scan-symmetry", (4, 5), cache=ScanCache(jobs=1))
