@@ -35,6 +35,7 @@ infinite average and sorts after every terminating strategy.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing
 import operator
@@ -43,7 +44,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial, inf
 from typing import Iterable, NamedTuple
 
@@ -92,9 +93,48 @@ Stats = tuple[GFCoefficients, dict[int, int]]  # (gf, first-hit class counts rho
 Hist = dict[int | float, int]  # number of subgames d by T(d)
 
 
+LARGE_K = 8  # D_8 has 14,833 entries: from here a collection over D_k costs 1 ms or more
+
+
+def _collector_paused(func):
+    """``func(k, ...)`` run with the cyclic garbage collector paused, for
+    k >= ``LARGE_K`` and if it was on.
+
+    For work that builds or groups large containers of the int tuples of
+    D_k: they cannot form a cycle, but while they are young every
+    collection walks all of them again, and when one comes depends on the
+    allocations around it.  Building D_9 takes 55-65 ms with the collector
+    on, about half of it in collections over the growing tuple, and 25 ms
+    paused (2-vCPU Xeon, Python 3.11).  Below ``LARGE_K`` those walks are
+    short and the collector keeps its own schedule."""
+
+    @wraps(func)
+    def paused(k, *args):
+        if k < LARGE_K or not gc.isenabled():
+            return func(k, *args)
+        gc.disable()
+        try:
+            return func(k, *args)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 @lru_cache(maxsize=None)
+@_collector_paused
 def _derangements(k: int) -> tuple[Perm, ...]:
-    return tuple(perms.enumerate_perms(k, "derangements"))
+    """D_k in lexicographic order, kept for the life of the process.
+
+    From k = ``LARGE_K`` one collection of the young generations walks the
+    new D_k once: CPython untracks a tuple of ints when a collection sees
+    it, so no later collection walks D_k's entries, nor a size-k table
+    keyed by them, and the walk (12 ms for D_9) falls here and not on
+    whatever allocation next sets a collection off."""
+    ds = tuple(perms.enumerate_perms(k, "derangements"))
+    if k >= LARGE_K:
+        gc.collect(1)
+    return ds
 
 
 LOOPED_CODE = 255  # LOOPED in a lookup table V; see ``_top_values``
@@ -282,6 +322,7 @@ def _relabel(k: int, key: int) -> tuple[int, bytes, bytes]:
     return len(wrong), bytes(table), bytes(q + 1 for q in range(k) if key >> q & 1)
 
 
+@_collector_paused
 def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
     """Histogram of T over D_k, from the complete tables of the sizes below
     k.  Fills ``tables[k]`` completely when ``tables`` has a size-k table.
@@ -298,8 +339,11 @@ def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
     back to d at the order of s, so a d that has locked nothing by then
     never does: it loops.  A group is a list of the cached D_k tuples,
     filled by one C-level ``map`` of ``list.append``; nothing is built per
-    d but the rd tuples, each dropped once it is looked up."""
-    step = bytes.maketrans(bytes(range(1, k + 1)), bytes(strategy.components[k - 1]))
+    d but the rd tuples, each dropped once it is looked up.  The groups
+    together hold all of D_k, so from k = ``LARGE_K`` the pass runs with
+    the collector paused: a collection inside it would walk them all,
+    whichever allocation set it off."""
+    step =bytes.maketrans(bytes(range(1, k + 1)), bytes(strategy.components[k - 1]))
     table = tables.get(k)
     hist: Counter = Counter()
     power, rounds, pending = step, 1, _derangements(k)
