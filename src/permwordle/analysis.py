@@ -25,9 +25,9 @@ recur in a worker's chunk are counted together: big-int counters hold one
 fixed-width field per top, and one C-level sum of chain-end planes per
 chain length m and value v of V adds to every top's count of T = m + v at
 once.  One set of planes serves every lower prefix of the chunk
-(``_top_counts``), so each such strategy costs only the assembly of its
-generating function.  A lone top is read off V by itself
-(``_top_stats``).
+(``_top_counts``), and a worker reads its orbits' results off those
+counters as fixed-width columns (``OrbitColumns``), which is all it
+returns.  A lone top is read off V by itself (``_top_stats``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -37,15 +37,15 @@ from __future__ import annotations
 
 import gc
 import itertools
-import multiprocessing
 import operator
 import sys
 from array import array
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
-from math import comb, factorial, inf
+from functools import lru_cache, partial, wraps
+from math import comb, factorial, gcd, inf
 from typing import Iterable, NamedTuple
 
 from . import closedform, perms, strategies
@@ -374,15 +374,14 @@ def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
 class LowerPrefix(NamedTuple):
     """What the strategies of lower prefix s_1..s_(n-1) share: the sum of
     C(n, k) times the T histogram of each size k < n and, once a scan has
-    prepared it, V and the counts of the tops that recur in its chunk: the
-    top with field i has ``counts[t][i]`` secrets besides the identity that
-    take 1 + t guesses (t = LOOPED counts the loops), lower sizes included."""
+    prepared it, V and the row of each of its strategies, by top, in the
+    columns of the scan chunk."""
 
     components: tuple[Perm, ...]
     weighted: Counter
     values: bytes | None = None
-    fields: dict[Perm, int] | None = None
-    counts: dict[int | float, memoryview] | None = None
+    rows: dict[Perm, int] | None = None
+    columns: OrbitColumns | None = None
 
 
 def _lower_stats(strategy: Strategy, memo: SubgameMemo) -> LowerPrefix:
@@ -475,10 +474,12 @@ def _block_counts(block: TopBlock, lower: LowerPrefix) -> dict[int | float, int]
 def _top_counts(
     n: int, tops: list[Perm], lowers: list[LowerPrefix]
 ) -> list[dict[int | float, memoryview]]:
-    """``LowerPrefix.counts`` under each of ``lowers`` for ``tops``, the top
-    at index i in field i: one ``TopBlock`` of all the tops, one pass over
-    it per lower prefix, and each counter read out once, as an array of its
-    fields.  No tops give empty counters."""
+    """Under each of ``lowers``, by T, the counts of the secrets besides the
+    identity that take 1 + T guesses (T = LOOPED: they loop), lower sizes
+    included, for ``tops``, the top at index i in field i: one ``TopBlock``
+    of all the tops, one pass over it per lower prefix, and each counter
+    read out once, as an array of its fields.  No tops give empty
+    counters."""
     if not tops:
         return [{} for _ in lowers]
     code = _field_code(n)
@@ -506,25 +507,20 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
 
     The returned dict maps the first-hit round i in {1, 2, 3} to the number
     of secrets solved in exactly three guesses whose first correct position
-    appeared on guess i.  When ``_evaluate`` prepared ``memo.lower`` for
-    this lower prefix, a recurring top's counts are read off its counters
-    and any other top's top size off the lookup table V.
+    appeared on guess i.  When a scan chunk prepared ``memo.lower`` for this
+    lower prefix, the strategy's stats are read back off its row of the
+    chunk's columns (``_scan_chunk``).
     """
     n = strategy.n
     memo = memo or SubgameMemo()
     lower = memo.lower
     if lower is None or lower.components != strategy.components[:-1]:
         lower = _lower_stats(strategy, memo)
-    field = (lower.fields or {}).get(strategy.top)
-    if field is not None:
-        counts = {t: view[field] for t, view in lower.counts.items()}
-    else:
-        if lower.values is None:
-            # The tables stop below n, so the top-size pass keeps no table.
-            hist = _size_stats(n, strategy, memo.tables_up_to(strategy, n - 1))
-        else:
-            hist = _top_stats(strategy.top, lower.values)
-        counts = lower.weighted + Counter(hist)
+    elif lower.rows and strategy.top in lower.rows:
+        return lower.columns.stats(lower.rows[strategy.top])
+    # The tables stop below n, so the top-size pass keeps no table.
+    hist = _size_stats(n, strategy, memo.tables_up_to(strategy, n - 1))
+    counts = lower.weighted + Counter(hist)
     loops = counts.pop(LOOPED, 0)
     gf = GFCoefficients(n, {1: 1, **{t + 1: cnt for t, cnt in counts.items() if cnt}}, loops)
     # A top-size d with T(d) = 2 is hit on guess two exactly when its first
@@ -652,21 +648,154 @@ class ScanSummary:
     min_a3: ExtremeSet
 
 
-OrbitStats = tuple[GFCoefficients, dict[int, int], Fraction | float]  # (gf, rho, average)
+# One scan chunk as a worker returns it: the T of each count column, the
+# count columns' bytes in that order, and the bytes of rho1, rho2 and rho3.
+Chunk = tuple[tuple[int | float, ...], tuple[bytes, ...], tuple[bytes, bytes, bytes]]
+
+
+class OrbitColumns(Sequence):
+    """A scan's per-orbit results as columns, each an ``array`` of the
+    field code ``_field_code(n)``, with orbit i at index i of every one:
+
+    * ``counts[t]`` for each T that occurs, in increasing order: the
+      secrets besides the identity that the orbit's strategies solve in
+      1 + T guesses, T = LOOPED counting those they loop on;
+    * ``rho``: the first-hit class counts rho1, rho2 and rho3.
+
+    ``_join`` builds them from the workers' chunks and checks them.  The
+    summary, the writers and the checks read the columns; indexing builds
+    orbit i's ``(gf, rho, average)`` only when asked, and holds nothing."""
+
+    def __init__(self, n: int, counts: dict[int | float, array], rho: tuple[array, array, array]):
+        self.n, self.counts, self.rho = n, counts, rho
+
+    def __len__(self) -> int:
+        return len(self.rho[0])
+
+    def __getitem__(self, i: int) -> tuple[GFCoefficients, dict[int, int], Fraction | float]:
+        gf, rho = self.stats(operator.index(i))
+        return gf, rho, average_guesses(gf)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrbitColumns):
+            return NotImplemented
+        return (self.n, self.counts, self.rho) == (other.n, other.counts, other.rho)
+
+    def stats(self, i: int) -> Stats:
+        """Orbit i's (gf, rho), as ``decomposition_stats`` gives them."""
+        counts = {t: column[i] for t, column in self.counts.items()}
+        loops = counts.pop(LOOPED, 0)
+        gf = GFCoefficients(self.n, {1: 1, **{t + 1: c for t, c in counts.items() if c}}, loops)
+        return gf, {j: column[i] for j, column in enumerate(self.rho, 1)}
+
+    def _filled(self, value: int) -> array:
+        return array(self.rho[0].typecode, [value]) * len(self)
+
+    def coefficient(self, r: int) -> array:
+        """a_r of every orbit."""
+        return self._filled(1) if r == 1 else self.counts.get(r - 1) or self._filled(0)
+
+    def loops(self) -> array:
+        return self.counts.get(LOOPED) or self._filled(0)
+
+    def max_guesses(self) -> int:
+        """The largest r with a_r > 0 in some orbit."""
+        return 1 + max((t for t, column in self.counts.items() if t != LOOPED and any(column)), default=0)
+
+    def guess_totals(self) -> list[int]:
+        """Guesses summed over all n! secrets, the identity's one included,
+        per orbit: the numerator of its average, where it has no loops."""
+        totals = [1] * len(self)
+        for t, column in self.counts.items():
+            if t != LOOPED:
+                totals = list(map(operator.add, totals, map(operator.mul, column, itertools.repeat(t + 1))))
+        return totals
+
+    def averages(self) -> tuple[list[int], list[int]]:
+        """Each orbit's average in lowest terms, as numerators and
+        denominators (reduced by one C-level ``map`` of ``gcd``); an orbit
+        with loops has an infinite average instead, and its entries mean
+        nothing."""
+        totals = self.guess_totals()
+        whole = itertools.repeat(factorial(self.n))
+        common = list(map(gcd, totals, whole))
+        return list(map(operator.floordiv, totals, common)), list(map(operator.floordiv, whole, common))
+
+
+def _pack(n: int, stats: Iterable[Stats]) -> Chunk:
+    """The chunk of these (gf, rho) pairs: a_r counts under T = r - 1, the
+    identity taken out of a_1, and the loops under LOOPED."""
+    code = _field_code(n)
+    rows, rhos = [], []
+    for gf, rho in stats:
+        row = {r - 1: a for r, a in gf.coeffs.items()}
+        row[0] = row.get(0, 0) - 1
+        row[LOOPED] = gf.loop_count
+        rows.append(row)
+        rhos.append(rho)
+    ts = sorted({t for row in rows for t, count in row.items() if count})
+    counts = tuple(array(code, [row.get(t, 0) for row in rows]).tobytes() for t in ts)
+    rho = tuple(array(code, [r[j] for r in rhos]).tobytes() for j in (1, 2, 3))
+    return tuple(ts), counts, rho
+
+
+def _join(n: int, chunks: list[Chunk]) -> OrbitColumns:
+    """The columns of a scan from its chunks, in order; a chunk without some
+    T has zeros there.  What ``GFCoefficients`` checks of one strategy is
+    checked here of every orbit at once: its counts and loops add up to
+    n! - 1 (the identity is not counted), and no T = 0 count is nonzero,
+    so a_1 = 1.  Either failure raises ``ValueError``."""
+    code = _field_code(n)
+    counts = {t: array(code) for t in sorted(set().union(*(ts for ts, _, _ in chunks)))}
+    rho = (array(code), array(code), array(code))
+    for ts, blobs, rho_blobs in chunks:
+        given = dict(zip(ts, blobs))
+        zeros = bytes(len(rho_blobs[0]))
+        for t, column in counts.items():
+            column.frombytes(given.get(t, zeros))
+        for column, blob in zip(rho, rho_blobs):
+            column.frombytes(blob)
+    columns = OrbitColumns(n, counts, rho)
+    if any(len(column) != len(columns) for column in (*counts.values(), *rho)):
+        raise ValueError("the columns of a scan chunk differ in length")
+    expected = factorial(n) - 1
+    totals = list(map(sum, zip(*counts.values()))) if counts else [0] * len(columns)
+    if totals.count(expected) != len(totals):
+        orbit = next(i for i, total in enumerate(totals) if total != expected)
+        raise ValueError(
+            f"orbit {orbit}: counts and loops add up to {totals[orbit]}, "
+            f"expected {n}! - 1 = {expected}"
+        )
+    if any(counts.get(0, ())):
+        raise ValueError("exactly one secret is solvable in one guess")
+    return columns
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """A family's scan, kept per orbit: the text of every member in
-    enumeration order, each member's orbit number and each orbit's stats.
-    Member i is ``texts[i]`` with the stats ``stats[orbits[i]]``."""
+    """A family's scan: the text of every member in enumeration order, each
+    member's orbit number, the orbits' stats and the extrema summary.
+
+    ``stats`` is an ``OrbitColumns``: per T, one fixed-width ``array`` of
+    the orbits' counts of secrets solved in 1 + T guesses (LOOPED: looping),
+    and one each of rho1, rho2 and rho3, joined from the workers' chunks by
+    ``_join``, which refused any orbit whose counts and loops do not add up
+    to n! - 1 or whose a_1 is not 1.  Member i is ``texts[i]`` with the
+    stats ``stats[orbits[i]]``, a ``(gf, rho, average)`` built when indexed.
+    Any other sequence of such triples given as ``stats`` is packed into
+    columns, and checked, at construction."""
 
     n: int
     kind: str
     texts: list[str]
     orbits: list[int]
-    stats: list[OrbitStats]
+    stats: OrbitColumns
     summary: ScanSummary
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.stats, OrbitColumns):
+            chunk = _pack(self.n, [(gf, rho) for gf, rho, _ in self.stats])
+            object.__setattr__(self, "stats", _join(self.n, [chunk]))
 
 
 def flagged_members(texts: list[str], orbits: list[int], flags: list[bool]) -> tuple[str, ...]:
@@ -674,19 +803,30 @@ def flagged_members(texts: list[str], orbits: list[int], flags: list[bool]) -> t
     return tuple(itertools.compress(texts, map(flags.__getitem__, orbits)))
 
 
-def _summarize(texts: list[str], orbits: list[int], stats: list[OrbitStats]) -> ScanSummary:
-    """The extrema over the orbits' values; the attainers are then listed
-    member by member, in scan order."""
+def _summarize(texts: list[str], orbits: list[int], stats: OrbitColumns) -> ScanSummary:
+    """The extrema over the orbits' columns; the attainers are then listed
+    member by member, in scan order.  The least average is the least guess
+    total of an orbit without loops, or infinite when every orbit loops."""
 
-    def extreme(values: list, pick) -> ExtremeSet:
-        best = pick(values)
-        return ExtremeSet(best, flagged_members(texts, orbits, [value == best for value in values]))
+    def extreme(value, flags: list[bool]) -> ExtremeSet:
+        return ExtremeSet(value, flagged_members(texts, orbits, flags))
 
-    a3 = [gf.coefficient(3) for gf, _, _ in stats]
+    a3 = stats.coefficient(3)
+    finite = list(map(operator.not_, stats.loops()))
+    totals = stats.guess_totals()
+    if any(finite):
+        least = min(itertools.compress(totals, finite))
+        average = extreme(
+            Fraction(least, factorial(stats.n)),
+            list(map(operator.and_, map(least.__eq__, totals), finite)),
+        )
+    else:
+        average = extreme(inf, [True] * len(stats))
+    high, low = max(a3), min(a3)
     return ScanSummary(
-        min_average=extreme([average for _, _, average in stats], min),
-        max_a3=extreme(a3, max),
-        min_a3=extreme(a3, min),
+        min_average=average,
+        max_a3=extreme(high, list(map(high.__eq__, a3))),
+        min_a3=extreme(low, list(map(low.__eq__, a3))),
     )
 
 
@@ -752,20 +892,60 @@ def _orbit_map(kind: str, pools: list[list[Perm]]) -> tuple[list[int], list[tupl
     return list(range(len(reps))) + mirrors, reps
 
 
-def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
-    """Decomposition of each representative, with one memo for them all.
+def _group_counts(
+    group: list[tuple[Perm, ...]],
+    lower: LowerPrefix,
+    views: dict[int | float, memoryview],
+    fields: dict[Perm, int],
+) -> dict[int | float, list[int]]:
+    """By T, the count column of one group of representatives: a recurring
+    top's entries are read off its field of the counters ``views``, one
+    ``itemgetter`` per T for the whole group, and any other top's entries
+    are lower.weighted plus ``_top_stats`` over V."""
+    at = [fields.get(comps[-1]) for comps in group]
+    counted = [i for i, field in enumerate(at) if field is not None]
+    columns: dict[int | float, list[int]] = {}
+    if counted:
+        # The trailing field keeps the getter's result a tuple; the scatter
+        # stops before it.
+        get = operator.itemgetter(*map(at.__getitem__, counted), 0)
+        for t, view in views.items():
+            columns[t] = [0] * len(group)
+            _scatter(columns[t], counted, get(view))
+    for i, field in enumerate(at):
+        if field is None:
+            hist = lower.weighted + Counter(_top_stats(group[i][-1], lower.values))
+            for t, count in hist.items():
+                columns.setdefault(t, [0] * len(group))[i] = count
+    return columns
+
+
+def _scan_chunk(reps: list[tuple[Perm, ...]], read_back: bool = True) -> Chunk:
+    """A scan worker's results for a run of representatives: their
+    ``OrbitColumns`` as bytes, a few bytes per orbit and column.
 
     Each run of representatives that share a lower prefix is one group: its
     lower sizes, their histogram sum and its lookup table V are built once.
     The tops that occur more than once in ``reps`` are counted under every
     group at once by ``_top_counts``, from one set of planes whose size
-    grows with the number of those tops; any other top is read off V.  Each
-    group's V and counters (n! bytes and a few bytes per recurring top and
-    T) are kept until its representatives are evaluated."""
+    grows with the number of those tops, and each group's count columns are
+    read off those counters (``_group_counts``); any other top is read off
+    V.  rho1 is weighted[2], the same over a group, and rho3 is
+    ``_no_lock`` of the top, so rho2 = a_3 - rho1 - rho3 is one C-level
+    pass per group.  Each group's V and counters (n! bytes and a few bytes
+    per recurring top and T) are kept until its columns are read.  Outside
+    the ranked sizes each representative is decomposed by itself.
+
+    With ``read_back``, every representative then passes once, in order,
+    through ``decomposition_stats`` on the chunk's memo, which reads its row
+    back: the per-strategy step that ``perfbench/traced.py`` times inside an
+    in-process scan (``test_scan_keeps_the_traced_entry_points``).  It
+    costs about 5 us an orbit and changes no result.  Pool workers skip it:
+    a tracer in the main process never sees the calls a worker makes."""
     memo = SubgameMemo()
     n = len(reps[0]) if reps else 0
     if not 1 < n <= MAX_RANKED:
-        return [decomposition_stats(Strategy(comps), memo) for comps in reps]
+        return _pack(n, [decomposition_stats(Strategy(comps), memo) for comps in reps])
     groups = [list(group) for _, group in itertools.groupby(reps, key=lambda comps: comps[:-1])]
     lowers = []
     for group in groups:
@@ -774,16 +954,43 @@ def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
         lowers.append(lower._replace(values=_top_values(n, memo.tables_up_to(first, n - 1))))
     tops = [top for top, count in Counter(comps[-1] for comps in reps).items() if count > 1]
     fields = dict(zip(tops, itertools.count()))
-    out = []
-    for group, lower, counts in zip(groups, lowers, _top_counts(n, tops, lowers)):
-        memo.lower = lower._replace(fields=fields, counts=counts)
-        out += [decomposition_stats(Strategy(comps), memo) for comps in group]
-    return out
+    code = _field_code(n)
+    counts: dict[int | float, array] = {}
+    rho = (array(code), array(code), array(code))
+    for group, lower, views in zip(groups, lowers, _top_counts(n, tops, lowers)):
+        columns = _group_counts(group, lower, views, fields)
+        for t in columns.keys() - counts.keys():
+            counts[t] = array(code, [0]) * len(rho[0])
+        zeros = [0] * len(group)
+        for t, column in counts.items():
+            column.extend(columns.get(t, zeros))
+        hit_one = [lower.weighted[2]] * len(group)
+        no_lock = [_no_lock(comps[-1]) for comps in group]
+        rho[0].extend(hit_one)
+        rho[1].extend(map(operator.sub, map(operator.sub, columns.get(2, zeros), hit_one), no_lock))
+        rho[2].extend(no_lock)
+    ts = sorted(counts)
+    if read_back:
+        read = OrbitColumns(n, {t: counts[t] for t in ts}, rho)
+        start = 0
+        for group, lower in zip(groups, lowers):
+            rows = dict(zip((comps[-1] for comps in group), itertools.count(start)))
+            memo.lower = lower._replace(rows=rows, columns=read)
+            for comps in group:
+                decomposition_stats(Strategy(comps), memo)
+            start += len(group)
+    return tuple(ts), tuple(counts[t].tobytes() for t in ts), tuple(column.tobytes() for column in rho)
 
 
-def _evaluate_orbits(reps: list[tuple[Perm, ...]]) -> list[OrbitStats]:
-    """``_evaluate`` with each average: a scan worker's per-orbit stats."""
-    return [(gf, rho, average_guesses(gf)) for gf, rho in _evaluate(reps)]
+def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
+    """(gf, rho) of each representative, as ``decomposition_stats`` gives
+    them: a view over the columns that ``_scan_chunk`` returns for them (a
+    count column per T, LOOPED included, and rho1, rho2, rho3), after
+    ``_join`` has checked that each orbit's counts and loops add up to
+    n! - 1 and that a_1 = 1.  For the tests and the ``scan-symmetry``
+    check."""
+    columns = _join(len(reps[0]) if reps else 0, [_scan_chunk(reps)])
+    return [columns.stats(i) for i in range(len(columns))]
 
 
 def scan(
@@ -798,9 +1005,10 @@ def scan(
     with the work estimate.
 
     Only one strategy per symmetry orbit (``_orbit_map``) is evaluated, and
-    the summary is folded over the orbits.  Workers own private memos and
-    take contiguous runs of the representatives, so results are identical
-    for any parallelism degree."""
+    the summary is read off the orbits' columns.  Workers own private memos,
+    take contiguous runs of the representatives and return their columns as
+    bytes (``_scan_chunk``), which ``_join`` concatenates and checks, so
+    results are identical for any parallelism degree."""
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     check_scan_cost(n, kind, max_cost)
@@ -810,12 +1018,15 @@ def scan(
         if 1 < n <= MAX_RANKED:
             _ranks(n)  # built once here and shared by the forked workers
         bounds = [len(reps) * i // jobs for i in range(jobs + 1)]
+        worker = partial(_scan_chunk, read_back=False)
+        # Imported here, where a pool starts: importing multiprocessing costs
+        # about 8 ms, which every command would otherwise pay at start-up.
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(
-                _evaluate_orbits, [reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            )
-        stats = list(itertools.chain.from_iterable(chunks))
+            chunks = pool.map(worker, [reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
     else:
-        stats = _evaluate_orbits(reps)
+        chunks = [_scan_chunk(reps)]
+    stats = _join(n, chunks)
     texts = strategies.strategy_texts(pools)
     return ScanResult(n, kind, texts, orbits, stats, _summarize(texts, orbits, stats))

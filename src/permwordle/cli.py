@@ -17,13 +17,15 @@ import csv
 import io
 import itertools
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from . import analysis, engine, perms, strategies
-from .analysis import DEFAULT_MAX_COST, GFCoefficients, ScanResult
+from .analysis import DEFAULT_MAX_COST, GFCoefficients, OrbitColumns, ScanResult
 from .strategies import Strategy
 from .verify import SEQUENCE_NAMES, THEOREMS, ScanCache, check_sequence, json_value
 from .verify import verify as run_verify
@@ -224,35 +226,73 @@ def cmd_avg(args) -> int:
 # scan
 
 
+def _coefficient_texts(stats: OrbitColumns, item: str, sep: str) -> Iterator[str]:
+    """Per orbit, ``item.format(r, a_r)`` for r = 1 up to the orbit's own
+    largest r with a_r > 0, joined by ``sep``: field by field at C speed,
+    each orbit's run cut to its length by a slice."""
+    width = stats.max_guesses()
+    ones = [1] * len(stats)
+    # The last r with a_r > 0: max of r where a_r > 0, else 0, and of 1.
+    # The second list of ones gives max two arguments when width is 1.
+    last = map(max, ones, ones, *(
+        map(operator.mul, map(bool, stats.coefficient(r)), itertools.repeat(r))
+        for r in range(2, width + 1)
+    ))
+    items = zip(*(map(item.format, itertools.repeat(r), stats.coefficient(r)) for r in range(1, width + 1)))
+    return map(sep.join, map(operator.getitem, items, map(slice, last)))
+
+
+def _average_texts(stats: OrbitColumns, fraction: str, whole: str, infinite: str) -> list[str]:
+    """Per orbit, its average formatted by ``fraction`` (numerator and
+    denominator in lowest terms) or, when the denominator is 1, by
+    ``whole``; ``infinite`` where the orbit loops."""
+    nums, dens = stats.averages()
+    texts = list(map(fraction.format, nums, dens))
+    for i in itertools.compress(range(len(texts)), map((1).__eq__, dens)):
+        texts[i] = whole.format(nums[i])
+    for i in itertools.compress(range(len(texts)), stats.loops()):
+        texts[i] = infinite
+    return texts
+
+
 def _scan_csv(result: ScanResult) -> str:
-    """One line per member; each orbit's numeric columns are formatted
-    once and joined to each of its members' ids."""
-    width = max(gf.max_guesses for gf, _, _ in result.stats)
+    """One line per member; each orbit's numeric fields are formatted
+    column by column, joined once per orbit and after each of its members'
+    ids."""
+    stats = result.stats
+    width = stats.max_guesses()
     header = ["strategy_id", "n"]
     header += [f"a_{r}" for r in range(1, width + 1)]
     header += ["loops", "avg_num", "avg_den", "rho1", "rho2", "rho3"]
-    tails = []
-    for gf, rho, avg in result.stats:
-        coeffs = map(gf.coeffs.get, range(1, width + 1), itertools.repeat(0))
-        # The average is infinite exactly when some secret loops.
-        average = ("", "") if gf.loop_count else (avg.numerator, avg.denominator)
-        fields = [result.n, *coeffs, gf.loop_count, *average, rho[1], rho[2], rho[3]]
-        tails.append(",".join(map(str, fields)))
-    # An id holds only digits, commas and semicolons, so the csv module
-    # would quote it exactly when it holds a comma.
+    # The average is infinite exactly when some secret loops: both its
+    # fields are then empty.
+    average = _average_texts(stats, "{},{}", "{},1", ",")
+    fields = [
+        itertools.repeat(str(result.n)),
+        *(map(str, stats.coefficient(r)) for r in range(1, width + 1)),
+        map(str, stats.loops()),
+        average,
+        *(map(str, column) for column in stats.rho),
+    ]
+    tails = list(map(",".join, zip(*fields)))
+    # The csv module would quote an id exactly when it holds a comma.
     ids = [f'"{text}"' if "," in text else text for text in result.texts]
     lines = map(",".join, zip(ids, map(tails.__getitem__, result.orbits)))
     return _csv_text(header, []) + "\n".join(lines) + "\n"
 
 
 def _scan_json(result: ScanResult) -> str:
-    """One object per member, as text: each orbit's fields are dumped once,
-    less the opening brace, and joined after each of its members' dumped id."""
-    tails = [
-        _dumps({"coeffs": _coeffs_json(gf), "loops": gf.loop_count, "average": avg,
-                "rho": {i: rho[i] for i in (1, 2, 3)}})[1:]
-        for gf, rho, avg in result.stats
-    ]
+    """One object per member, as text: each orbit's fields are written once
+    from the columns, as ``_dumps`` writes them, less the opening brace,
+    and joined after each of its members' dumped id."""
+    stats = result.stats
+    tails = list(map(
+        '"coeffs":{{{}}},"loops":{},"average":{},"rho":{{"1":{},"2":{},"3":{}}}}}'.format,
+        _coefficient_texts(stats, '"{}":{}', ","),
+        stats.loops(),
+        _average_texts(stats, '{{"num":{},"den":{}}}', '{{"num":{},"den":1}}', "null"),
+        *stats.rho,
+    ))
     ids = map(json.dumps, result.texts)
     rows = map('{{"strategy":{},{}'.format, ids, map(tails.__getitem__, result.orbits))
     summary = {
@@ -263,6 +303,32 @@ def _scan_json(result: ScanResult) -> str:
     return f'{head},"rows":[{",".join(rows)}],"summary":{_dumps(summary)}}}'
 
 
+def _scan_text(result: ScanResult) -> str:
+    """One line per member after a heading, then the summary; each orbit's
+    fields are written once from the columns and follow each member's id."""
+    stats = result.stats
+    # As tuples are written: one coefficient alone is (1,).
+    coeffs = [
+        f"({text})" if ", " in text else f"({text},)"
+        for text in _coefficient_texts(stats, "{1}", ", ")
+    ]
+    tails = list(map(
+        "  coeffs={}  loops={}  avg={}  rho={},{},{}".format,
+        coeffs,
+        stats.loops(),
+        _average_texts(stats, "{}/{}", "{}", "inf"),
+        *stats.rho,
+    ))
+    lines = [f"scan n={result.n} class={result.kind}: {len(result.texts)} strategies"]
+    lines += map("  {}{}".format, result.texts, map(tails.__getitem__, result.orbits))
+    s = result.summary
+    avg_txt = _average_text(s.min_average.value)
+    lines.append(f"min average {avg_txt}: {', '.join(s.min_average.strategy_ids)}")
+    lines.append(f"max a_3 {s.max_a3.value}: {', '.join(s.max_a3.strategy_ids)}")
+    lines.append(f"min a_3 {s.min_a3.value}: {', '.join(s.min_a3.strategy_ids)}")
+    return "\n".join(lines)
+
+
 def cmd_scan(args) -> int:
     result = analysis.scan(args.n, args.kind, jobs=args.jobs, max_cost=args.max_cost)
     if args.format == "json":
@@ -270,19 +336,7 @@ def cmd_scan(args) -> int:
     elif args.format == "csv":
         out = _scan_csv(result)
     else:
-        tails = [
-            f"  coeffs={gf.as_tuple()}  loops={gf.loop_count}  avg={_average_text(avg)}"
-            f"  rho={rho[1]},{rho[2]},{rho[3]}"
-            for gf, rho, avg in result.stats
-        ]
-        lines = [f"scan n={result.n} class={result.kind}: {len(result.texts)} strategies"]
-        lines += [f"  {text}{tails[orbit]}" for text, orbit in zip(result.texts, result.orbits)]
-        s = result.summary
-        avg_txt = _average_text(s.min_average.value)
-        lines.append(f"min average {avg_txt}: {', '.join(s.min_average.strategy_ids)}")
-        lines.append(f"max a_3 {s.max_a3.value}: {', '.join(s.max_a3.strategy_ids)}")
-        lines.append(f"min a_3 {s.min_a3.value}: {', '.join(s.min_a3.strategy_ids)}")
-        out = "\n".join(lines)
+        out = _scan_text(result)
     _write_output(out, args)
     return 0
 

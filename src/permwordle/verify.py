@@ -188,12 +188,12 @@ def _eq_derange_sum_row(n: int):
 def _linquad_row(n: int, result: ScanResult):
     """a_1 = 1 and a_2 = 2^n - n - 1 for every strategy in the family."""
     expected = {"a1": 1, "a2": closedform.eulerian_second(n)}
-    pairs = [(gf.coefficient(1), gf.coefficient(2)) for gf, _, _ in result.stats]
-    a1, a2 = {a for a, _ in pairs}, {a for _, a in pairs}
-    ok = a1 == {1} and a2 == {expected["a2"]}
-    observed = {"a1": a1, "a2": a2, "strategies_checked": len(result.texts)}
+    # a_1 = 1 in every orbit is also checked when the scan's columns are joined.
+    a1, a2 = set(result.stats.coefficient(1)), result.stats.coefficient(2)
+    ok = a1 == {1} and set(a2) == {expected["a2"]}
+    observed = {"a1": a1, "a2": set(a2), "strategies_checked": len(result.texts)}
     if not ok:
-        bad = [pair != (1, expected["a2"]) for pair in pairs]
+        bad = list(map(expected["a2"].__ne__, a2))
         observed["first_counterexample"] = flagged_members(result.texts, result.orbits, bad)[0]
     return observed, expected, ok
 
@@ -226,7 +226,7 @@ def _scan_value_row(n: int, result: ScanResult, *, index, forms):
     """Every strategy of the family has the same ``rho[index]``, equal to
     each closed form in ``forms``."""
     expected = forms[0](n)
-    values = {rho[index] for _, rho, _ in result.stats}
+    values = set(result.stats.rho[index - 1])
     ok = values == {expected} and all(form(n) == expected for form in forms)
     return {"values": values, "strategies_checked": len(result.texts)}, expected, ok
 
@@ -250,9 +250,9 @@ def _rho2_row(n: int, *, strategy, closed):
 def _rho2_extreme_row(n: int, result: ScanResult, *, pick, strategy, closed):
     """``strategy(n)`` alone attains the extreme (``pick`` is max or min)
     first-hit-on-guess-two count over all inductive strategies."""
-    rho2 = [rho[2] for _, rho, _ in result.stats]
+    rho2 = result.stats.rho[1]
     value = pick(rho2)
-    ids = flagged_members(result.texts, result.orbits, [count == value for count in rho2])
+    ids = flagged_members(result.texts, result.orbits, list(map(value.__eq__, rho2)))
     attainer = strategy(n).text
     expected = {"value": closed(n), "strategies": [attainer]}
     ok = value == closed(n) and ids == (attainer,)
@@ -322,12 +322,13 @@ def _scan_symmetry_row(n: int, result: ScanResult):
         canonical.setdefault(analysis._canonical(s, result.kind), len(canonical))
         for s in members
     ]
+    scanned = list(result.stats)  # each orbit's (gf, rho, average), built once
     bad = []
     for text, orbit, strategy, (gf, rho), own_orbit in zip(
         result.texts, result.orbits, members, stats, orbits
     ):
         own = (strategy.text, gf, rho, analysis.average_guesses(gf))
-        if (text, *result.stats[orbit]) != own or orbit != own_orbit:
+        if (text, *scanned[orbit]) != own or orbit != own_orbit:
             bad.append(strategy.text)
     mismatches = len(bad) + abs(len(result.texts) - len(members))
     observed = {

@@ -1,11 +1,16 @@
 import array
 import collections
+import functools
 import itertools
+import os
+import pickle
 import random
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from math import factorial, inf
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +324,99 @@ def test_evaluate_is_the_same_over_any_split(kind, n):
     bounds = sorted(rng.sample(range(1, len(reps)), 4))
     chunks = [reps[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(reps)])]
     assert [r for chunk in chunks for r in analysis._evaluate(chunk)] == whole
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclic_6_chunks():
+    """The two worker chunks of a jobs=2 scan of cyclic n = 6."""
+    _, reps = analysis._orbit_map("cyclic", strategies.component_pools(6, "cyclic"))
+    half = len(reps) // 2
+    return tuple(analysis._scan_chunk(chunk, read_back=False) for chunk in (reps[:half], reps[half:]))
+
+
+def _objects(value):
+    """``value`` and everything it holds, through tuples."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _objects(item)
+
+
+def test_scan_worker_payload_is_compact():
+    """A worker returns its 8,640 cyclic n = 6 orbits as a few columns of
+    bytes: under 40 bytes an orbit pickled, and no per-orbit object."""
+    payload = _cyclic_6_chunks()[0]
+    assert len(analysis._join(6, [payload])) == 8640
+    assert len(pickle.dumps(payload)) < 40 * 8640
+    objects = list(_objects(payload))
+    assert len(objects) < 50
+    assert not any(isinstance(o, (GFCoefficients, Fraction, dict)) for o in objects)
+    assert {type(o) for o in objects} <= {tuple, bytes, int, float}
+
+
+def test_scan_columns_hold_few_bytes_per_orbit():
+    """A scan's per-orbit results, joined from its workers' chunks, hold
+    under 150 bytes an orbit at cyclic n = 6 (``tracemalloc``)."""
+    chunks = list(_cyclic_6_chunks())
+    tracemalloc.start()
+    try:
+        stats = analysis._join(6, chunks)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stats) == 17280
+    assert held < 150 * len(stats)
+
+
+def _with_column(chunk, t, change):
+    """``chunk`` with ``change`` applied to a copy of its column for T = t,
+    which it gets if it has none."""
+    ts, blobs, rho = chunk
+    columns = dict(zip(ts, blobs))
+    code = analysis._field_code(5)
+    column = array.array(code, columns.get(t, bytes(len(rho[0]))))
+    change(column)
+    columns[t] = column.tobytes()
+    ts = tuple(sorted(columns))
+    return ts, tuple(columns[t] for t in ts), rho
+
+
+def test_join_refuses_broken_columns():
+    """The join checks every orbit's counts: they and the loops add up to
+    n! - 1, and no secret besides the identity takes one guess (a_1 = 1).
+    A chunk with one count changed by 1 is refused with ``ValueError``, also
+    under ``python -O``, which strips ``assert``."""
+    chunk = analysis._scan_chunk(_split_reps("cyclic", 5))
+    orbits = len(analysis._join(5, [chunk]))
+
+    def bump(column):
+        column[3] += 1
+
+    def drop(column):
+        column[3] -= 1
+
+    for change in (bump, drop):
+        # The second chunk's orbit 3 is the scan's orbit orbits + 3.
+        with pytest.raises(ValueError, match=f"orbit {orbits + 3}: counts and loops add up to"):
+            analysis._join(5, [chunk, _with_column(chunk, 2, change)])
+    # One secret moved from two guesses to one: the totals still hold.
+    moved = _with_column(_with_column(chunk, 1, drop), 0, bump)
+    with pytest.raises(ValueError, match="one guess"):
+        analysis._join(5, [moved])
+    code = (
+        "import pickle, sys\n"
+        "from permwordle import analysis\n"
+        "try:\n"
+        "    analysis._join(5, [pickle.loads(sys.stdin.buffer.read())])\n"
+        "except ValueError:\n"
+        "    sys.exit(3)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(analysis.__file__).parent.parent)}
+    for broken in (_with_column(chunk, 2, bump), moved):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], input=pickle.dumps(broken), env=env, timeout=60
+        )
+        assert proc.returncode == 3
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +25,14 @@ def test_star_import_resolves_every_public_name():
     exec("from permwordle import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(permwordle.__all__)
     assert len(set(permwordle.__all__)) == len(permwordle.__all__)
+
+
+def test_package_runs_as_a_module():
+    """``python -m permwordle`` runs the command-line interface."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "permwordle", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "scan" in proc.stdout
