@@ -940,7 +940,7 @@ def _scan_chunk(reps: list[tuple[Perm, ...]], read_back: bool = True) -> Chunk:
     through ``decomposition_stats`` on the chunk's memo, which reads its row
     back: the per-strategy step that ``perfbench/traced.py`` times inside an
     in-process scan (``test_scan_keeps_the_traced_entry_points``).  It
-    costs about 5 us an orbit and changes no result.  Pool workers skip it:
+    costs about 7 us an orbit and changes no result.  Pool workers skip it:
     a tracer in the main process never sees the calls a worker makes."""
     memo = SubgameMemo()
     n = len(reps[0]) if reps else 0
