@@ -2,32 +2,32 @@
 classes, and exhaustive scans over strategy families.
 
 Two independent routes produce a strategy's generating function and its
-first-hit-class counts, each as one (gf, rho) pair from one pass:
+first-hit-class counts, each as one (gf, rho) pair:
 
-* direct playback of all n! secrets (``gf_playback``), and
-* the subgame decomposition (``decomposition_stats``): a secret with k
-  incorrect positions contributes through its relative derangement d, so
-  the count of secrets solved in 1 + t guesses is
-  sum over k of C(n, k) * #{d in D_k : T(d) = t}.
+* direct playback of all n! secrets (``gf_playback``), the oracle, and
+* the subgame decomposition: a secret with k incorrect positions
+  contributes through its relative derangement d, so the count of secrets
+  solved in 1 + t guesses is sum over k of C(n, k) * #{d in D_k : T(d) = t}.
 
-The two pairs must agree everywhere; tests enforce it.  Each size k of
-the decomposition is one pass over D_k (``_size_stats``): the derangements
-are grouped by the positions they lock, and each group's successors are
-relabelled and looked up at once.  Scans use the
-decomposition with a memo shared across strategies that agree on component
-prefixes, which is what makes family-wide sweeps cheap, and evaluate only
-one strategy per rotation or mirror orbit (``_orbit_map``, checked against
-the unshortened ``_canonical``).  At the top size
-a scan reads T(d) = m(d) + V(y(d)): V is the rank-indexed lookup table of
-the lower prefix and m, y come from the no-lock chains of the top component
-(``_top_chains``), which serve it under every lower prefix.  The tops that
-recur in a worker's chunk are counted together: big-int counters hold one
-fixed-width field per top, and one C-level sum of chain-end planes per
-chain length m and value v of V adds to every top's count of T = m + v at
-once.  One set of planes serves every lower prefix of the chunk
-(``_top_counts``), and a worker reads its orbits' results off those
-counters as fixed-width columns (``OrbitColumns``), which is all it
-returns.  A lone top is read off V by itself (``_top_stats``).
+The two pairs must agree everywhere; tests enforce it.  The decomposition
+has one evaluator, the scan chunk (``_scan_chunk``), of a family's
+representatives or of one strategy (``decomposition_stats``), and one
+conversion of counts into (gf, rho) (``OrbitColumns.stats``).  Each size
+k is one pass over D_k (``_size_stats``): the derangements are grouped by
+the positions they lock, and each group's successors are relabelled and
+looked up at once.  A chunk's memo is shared by the strategies that agree
+on component prefixes, which makes family-wide sweeps cheap, and a scan
+evaluates one strategy per rotation or mirror orbit (``_orbit_map``,
+checked against the unshortened ``_canonical``).  At the top size a chunk
+of several strategies at a ranked size reads T(d) = m(d) + V(y(d)): V is
+the rank-indexed lookup table of the lower prefix and m, y come from the
+no-lock chains of the top component (``_top_chains``), which serve it
+under every lower prefix.  The tops that recur in a chunk are counted
+together: big-int counters hold one fixed-width field per top, and one
+C-level sum of chain-end planes per chain length m and value v of V adds
+to every top's count of T = m + v at once (``_top_counts``), and the
+orbits' count columns are read off those counters.  A lone top is read
+off V by itself (``_top_stats``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -44,7 +44,7 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, wraps
+from functools import cached_property, lru_cache, partial, wraps
 from math import comb, factorial, gcd, inf
 from typing import Iterable, NamedTuple
 
@@ -373,9 +373,9 @@ def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
 
 class LowerPrefix(NamedTuple):
     """What the strategies of lower prefix s_1..s_(n-1) share: the sum of
-    C(n, k) times the T histogram of each size k < n and, once a scan has
-    prepared it, V and the row of each of its strategies, by top, in the
-    columns of the scan chunk."""
+    C(n, k) times the T histogram of each size k < n and, in a chunk of
+    several strategies at a ranked size, V; once a chunk has read its
+    columns back, the row of each of its strategies, by top, in them."""
 
     components: tuple[Perm, ...]
     weighted: Counter
@@ -404,8 +404,10 @@ _SELECT = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]
 
 
 def _field_code(n: int) -> str:
-    """The array code of one top's field in a counter, 2 bytes while n! <=
-    2^16 and 4 beyond: a field's total is at most n! - 1."""
+    """The array code of one top's field in a counter or a column, 2 bytes
+    while n! <= 2^16 and 4 beyond: a field's total is at most n! - 1, which
+    4 bytes hold up to n = 12.  No strategy, lone or scanned, reaches
+    n = 13: its top-size pass needs all of D_13 (2.3e9 derangements)."""
     return "H" if factorial(n) <= 1 << 16 else "I"
 
 
@@ -497,7 +499,7 @@ def _top_counts(
 @lru_cache(maxsize=None)
 def _no_lock(top: Perm) -> int:
     """1 if s o s is deranged for the top s, else 0: the number of top-size
-    d with T(d) = 2 whose first hit is guess three (``decomposition_stats``)."""
+    d with T(d) = 2 whose first hit is guess three (``_scan_chunk``)."""
     return int(perms.is_derangement(perms.compose(top, top)))
 
 
@@ -507,29 +509,16 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
 
     The returned dict maps the first-hit round i in {1, 2, 3} to the number
     of secrets solved in exactly three guesses whose first correct position
-    appeared on guess i.  When a scan chunk prepared ``memo.lower`` for this
-    lower prefix, the strategy's stats are read back off its row of the
-    chunk's columns (``_scan_chunk``).
+    appeared on guess i.  The strategy is evaluated as a scan chunk of its
+    own on ``memo`` (``_scan_chunk``), which builds no rank structure; when
+    a chunk has prepared ``memo.lower`` with a row for it, that row is read
+    back instead.
     """
-    n = strategy.n
     memo = memo or SubgameMemo()
     lower = memo.lower
-    if lower is None or lower.components != strategy.components[:-1]:
-        lower = _lower_stats(strategy, memo)
-    elif lower.rows and strategy.top in lower.rows:
+    if lower is not None and lower.components == strategy.components[:-1] and strategy.top in lower.rows:
         return lower.columns.stats(lower.rows[strategy.top])
-    # The tables stop below n, so the top-size pass keeps no table.
-    hist = _size_stats(n, strategy, memo.tables_up_to(strategy, n - 1))
-    counts = lower.weighted + Counter(hist)
-    loops = counts.pop(LOOPED, 0)
-    gf = GFCoefficients(n, {1: 1, **{t + 1: cnt for t, cnt in counts.items() if cnt}}, loops)
-    # A top-size d with T(d) = 2 is hit on guess two exactly when its first
-    # step locked something; otherwise guess three is its first hit.  Then
-    # s o d is deranged and s o s o d = identity (s = s_n), so the only such
-    # d is s^-2, a derangement exactly when s o s is one (s o d = s^-1 is).
-    no_lock = _no_lock(strategy.top)
-    hit_one = lower.weighted[2]
-    return gf, {1: hit_one, 2: counts.get(2, 0) - hit_one - no_lock, 3: no_lock}
+    return _join(strategy.n, [_scan_chunk([strategy.components], memo, read_back=False)]).stats(0)
 
 
 def gf_playback(strategy: Strategy) -> Stats:
@@ -662,9 +651,10 @@ class OrbitColumns(Sequence):
       1 + T guesses, T = LOOPED counting those they loop on;
     * ``rho``: the first-hit class counts rho1, rho2 and rho3.
 
-    ``_join`` builds them from the workers' chunks and checks them.  The
-    summary, the writers and the checks read the columns; indexing builds
-    orbit i's ``(gf, rho, average)`` only when asked, and holds nothing."""
+    ``_join`` builds them from the chunks of a scan's workers, or from the
+    one chunk of a lone strategy, and checks them.  The summary, the
+    writers and the checks read the columns; indexing builds orbit i's
+    ``(gf, rho, average)`` only when asked, and holds nothing."""
 
     def __init__(self, n: int, counts: dict[int | float, array], rho: tuple[array, array, array]):
         self.n, self.counts, self.rho = n, counts, rho
@@ -682,7 +672,8 @@ class OrbitColumns(Sequence):
         return (self.n, self.counts, self.rho) == (other.n, other.counts, other.rho)
 
     def stats(self, i: int) -> Stats:
-        """Orbit i's (gf, rho), as ``decomposition_stats`` gives them."""
+        """Orbit i's (gf, rho): the one place where the decomposition's
+        counts become a generating function and first-hit class counts."""
         counts = {t: column[i] for t, column in self.counts.items()}
         loops = counts.pop(LOOPED, 0)
         gf = GFCoefficients(self.n, {1: 1, **{t + 1: c for t, c in counts.items() if c}}, loops)
@@ -702,9 +693,11 @@ class OrbitColumns(Sequence):
         """The largest r with a_r > 0 in some orbit."""
         return 1 + max((t for t, column in self.counts.items() if t != LOOPED and any(column)), default=0)
 
+    @cached_property
     def guess_totals(self) -> list[int]:
         """Guesses summed over all n! secrets, the identity's one included,
-        per orbit: the numerator of its average, where it has no loops."""
+        per orbit: the numerator of its average, where it has no loops;
+        kept for the summary and the averages (the columns never change)."""
         totals = [1] * len(self)
         for t, column in self.counts.items():
             if t != LOOPED:
@@ -716,35 +709,18 @@ class OrbitColumns(Sequence):
         denominators (reduced by one C-level ``map`` of ``gcd``); an orbit
         with loops has an infinite average instead, and its entries mean
         nothing."""
-        totals = self.guess_totals()
+        totals = self.guess_totals
         whole = itertools.repeat(factorial(self.n))
         common = list(map(gcd, totals, whole))
         return list(map(operator.floordiv, totals, common)), list(map(operator.floordiv, whole, common))
 
 
-def _pack(n: int, stats: Iterable[Stats]) -> Chunk:
-    """The chunk of these (gf, rho) pairs: a_r counts under T = r - 1, the
-    identity taken out of a_1, and the loops under LOOPED."""
-    code = _field_code(n)
-    rows, rhos = [], []
-    for gf, rho in stats:
-        row = {r - 1: a for r, a in gf.coeffs.items()}
-        row[0] = row.get(0, 0) - 1
-        row[LOOPED] = gf.loop_count
-        rows.append(row)
-        rhos.append(rho)
-    ts = sorted({t for row in rows for t, count in row.items() if count})
-    counts = tuple(array(code, [row.get(t, 0) for row in rows]).tobytes() for t in ts)
-    rho = tuple(array(code, [r[j] for r in rhos]).tobytes() for j in (1, 2, 3))
-    return tuple(ts), counts, rho
-
-
 def _join(n: int, chunks: list[Chunk]) -> OrbitColumns:
-    """The columns of a scan from its chunks, in order; a chunk without some
-    T has zeros there.  What ``GFCoefficients`` checks of one strategy is
-    checked here of every orbit at once: its counts and loops add up to
-    n! - 1 (the identity is not counted), and no T = 0 count is nonzero,
-    so a_1 = 1.  Either failure raises ``ValueError``."""
+    """The columns of a scan, or of one strategy, from its chunks, in order;
+    a chunk without some T has zeros there.  What ``GFCoefficients`` checks
+    of one strategy is checked here of every orbit at once: its counts and
+    loops add up to n! - 1 (the identity is not counted), and no T = 0
+    count is nonzero, so a_1 = 1.  Either failure raises ``ValueError``."""
     code = _field_code(n)
     counts = {t: array(code) for t in sorted(set().union(*(ts for ts, _, _ in chunks)))}
     rho = (array(code), array(code), array(code))
@@ -776,14 +752,13 @@ class ScanResult:
     """A family's scan: the text of every member in enumeration order, each
     member's orbit number, the orbits' stats and the extrema summary.
 
-    ``stats`` is an ``OrbitColumns``: per T, one fixed-width ``array`` of
-    the orbits' counts of secrets solved in 1 + T guesses (LOOPED: looping),
-    and one each of rho1, rho2 and rho3, joined from the workers' chunks by
-    ``_join``, which refused any orbit whose counts and loops do not add up
-    to n! - 1 or whose a_1 is not 1.  Member i is ``texts[i]`` with the
-    stats ``stats[orbits[i]]``, a ``(gf, rho, average)`` built when indexed.
-    Any other sequence of such triples given as ``stats`` is packed into
-    columns, and checked, at construction."""
+    ``stats`` is always an ``OrbitColumns``: per T, one fixed-width
+    ``array`` of the orbits' counts of secrets solved in 1 + T guesses
+    (LOOPED: looping), and one each of rho1, rho2 and rho3, joined from the
+    workers' chunks by ``_join``, which refused any orbit whose counts and
+    loops do not add up to n! - 1 or whose a_1 is not 1.  Member i is
+    ``texts[i]`` with the stats ``stats[orbits[i]]``, a ``(gf, rho,
+    average)`` built when indexed."""
 
     n: int
     kind: str
@@ -791,11 +766,6 @@ class ScanResult:
     orbits: list[int]
     stats: OrbitColumns
     summary: ScanSummary
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.stats, OrbitColumns):
-            chunk = _pack(self.n, [(gf, rho) for gf, rho, _ in self.stats])
-            object.__setattr__(self, "stats", _join(self.n, [chunk]))
 
 
 def flagged_members(texts: list[str], orbits: list[int], flags: list[bool]) -> tuple[str, ...]:
@@ -813,7 +783,7 @@ def _summarize(texts: list[str], orbits: list[int], stats: OrbitColumns) -> Scan
 
     a3 = stats.coefficient(3)
     finite = list(map(operator.not_, stats.loops()))
-    totals = stats.guess_totals()
+    totals = stats.guess_totals
     if any(finite):
         least = min(itertools.compress(totals, finite))
         average = extreme(
@@ -897,11 +867,13 @@ def _group_counts(
     lower: LowerPrefix,
     views: dict[int | float, memoryview],
     fields: dict[Perm, int],
+    memo: SubgameMemo,
 ) -> dict[int | float, list[int]]:
     """By T, the count column of one group of representatives: a recurring
     top's entries are read off its field of the counters ``views``, one
     ``itemgetter`` per T for the whole group, and any other top's entries
-    are lower.weighted plus ``_top_stats`` over V."""
+    are lower.weighted plus ``_top_stats`` over V, or without V the
+    lock-set pass."""
     at = [fields.get(comps[-1]) for comps in group]
     counted = [i for i, field in enumerate(at) if field is not None]
     columns: dict[int | float, list[int]] = {}
@@ -914,27 +886,34 @@ def _group_counts(
             _scatter(columns[t], counted, get(view))
     for i, field in enumerate(at):
         if field is None:
-            hist = lower.weighted + Counter(_top_stats(group[i][-1], lower.values))
-            for t, count in hist.items():
+            if lower.values:
+                top = _top_stats(group[i][-1], lower.values)
+            else:  # given the tables below n only, the pass keeps no top table
+                s = Strategy(group[i])
+                top = _size_stats(s.n, s, memo.tables_up_to(s, s.n - 1))
+            for t, count in (lower.weighted + Counter(top)).items():
                 columns.setdefault(t, [0] * len(group))[i] = count
     return columns
 
 
-def _scan_chunk(reps: list[tuple[Perm, ...]], read_back: bool = True) -> Chunk:
-    """A scan worker's results for a run of representatives: their
-    ``OrbitColumns`` as bytes, a few bytes per orbit and column.
+def _scan_chunk(
+    reps: list[tuple[Perm, ...]], memo: SubgameMemo | None = None, read_back: bool = True
+) -> Chunk:
+    """The results of a run of representatives on ``memo`` (a scan worker's
+    or one strategy's): their ``OrbitColumns`` as bytes, a few bytes per
+    orbit and column.
 
     Each run of representatives that share a lower prefix is one group: its
-    lower sizes, their histogram sum and its lookup table V are built once.
-    The tops that occur more than once in ``reps`` are counted under every
-    group at once by ``_top_counts``, from one set of planes whose size
-    grows with the number of those tops, and each group's count columns are
-    read off those counters (``_group_counts``); any other top is read off
-    V.  rho1 is weighted[2], the same over a group, and rho3 is
-    ``_no_lock`` of the top, so rho2 = a_3 - rho1 - rho3 is one C-level
-    pass per group.  Each group's V and counters (n! bytes and a few bytes
-    per recurring top and T) are kept until its columns are read.  Outside
-    the ranked sizes each representative is decomposed by itself.
+    lower sizes and their histogram sum are built once.  A chunk of more
+    than one representative at a ranked size (2 <= n <= ``MAX_RANKED``)
+    also builds each group's lookup table V, counts the tops that occur
+    more than once in ``reps`` under every group at once (``_top_counts``,
+    one set of planes that grows with the number of those tops), reads
+    each group's count columns off those counters (``_group_counts``) and
+    any other top off V.  Each group's V and counters (n! bytes and a few
+    bytes per recurring top and T) are kept until its columns are read.
+    Every other chunk (one strategy, n = 1, n > ``MAX_RANKED``) reads each
+    top off the lock-set pass, with tables only below n.
 
     With ``read_back``, every representative then passes once, in order,
     through ``decomposition_stats`` on the chunk's memo, which reads its row
@@ -942,28 +921,36 @@ def _scan_chunk(reps: list[tuple[Perm, ...]], read_back: bool = True) -> Chunk:
     in-process scan (``test_scan_keeps_the_traced_entry_points``).  It
     costs about 7 us an orbit and changes no result.  Pool workers skip it:
     a tracer in the main process never sees the calls a worker makes."""
-    memo = SubgameMemo()
+    memo = memo or SubgameMemo()
     n = len(reps[0]) if reps else 0
-    if not 1 < n <= MAX_RANKED:
-        return _pack(n, [decomposition_stats(Strategy(comps), memo) for comps in reps])
+    ranked = len(reps) > 1 and 1 < n <= MAX_RANKED
     groups = [list(group) for _, group in itertools.groupby(reps, key=lambda comps: comps[:-1])]
     lowers = []
     for group in groups:
         first = Strategy(group[0])
         lower = _lower_stats(first, memo)
-        lowers.append(lower._replace(values=_top_values(n, memo.tables_up_to(first, n - 1))))
-    tops = [top for top, count in Counter(comps[-1] for comps in reps).items() if count > 1]
+        if ranked:
+            lower = lower._replace(values=_top_values(n, memo.tables_up_to(first, n - 1)))
+        lowers.append(lower)
+    recurring = Counter(comps[-1] for comps in reps) if ranked else {}
+    tops = [top for top, count in recurring.items() if count > 1]
     fields = dict(zip(tops, itertools.count()))
     code = _field_code(n)
     counts: dict[int | float, array] = {}
     rho = (array(code), array(code), array(code))
     for group, lower, views in zip(groups, lowers, _top_counts(n, tops, lowers)):
-        columns = _group_counts(group, lower, views, fields)
+        columns = _group_counts(group, lower, views, fields, memo)
         for t in columns.keys() - counts.keys():
             counts[t] = array(code, [0]) * len(rho[0])
         zeros = [0] * len(group)
         for t, column in counts.items():
             column.extend(columns.get(t, zeros))
+        # Below the top size guess one hits, so rho1 = weighted[2].  A top-size
+        # d with T(d) = 2 is first hit on guess two if its first step locked
+        # something, else on guess three: then s o d is deranged and s o s o d
+        # = identity (s = s_n), so d = s^-2, a derangement exactly when s o s
+        # is one (s o d = s^-1 is).  So rho3 is ``_no_lock`` of the top, and
+        # rho2 the rest of a_3.
         hit_one = [lower.weighted[2]] * len(group)
         no_lock = [_no_lock(comps[-1]) for comps in group]
         rho[0].extend(hit_one)

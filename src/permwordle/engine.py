@@ -198,9 +198,9 @@ class SubgameMemo:
     concurrent mutation; use one memo per worker, or populate it fully and
     then share it read-only.
 
-    ``lower`` is what a scan shares among the strategies of one lower
-    prefix s_1..s_{n-1}, set before it evaluates them (else None); a
-    strategy of another lower prefix ignores it.
+    ``lower`` is a scan chunk's lower prefix s_1..s_{n-1} with each of its
+    strategies' row in the chunk's columns, set as the chunk reads them back
+    (else None); a strategy with no row there is a chunk of its own.
     """
 
     def __init__(self) -> None:

@@ -87,6 +87,21 @@ def test_rho_counts_playback_matches_decomposition(n):
         assert analysis.decomposition_stats(s) == analysis.gf_playback(s)
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_rho_counts_playback_matches_seeded_deranged(n):
+    """Seeded deranged strategies, looping ones included: the (gf, rho) of
+    a lone decomposition, and of the same strategies evaluated as one
+    chunk, equal the oracle's, which plays all n! secrets."""
+    rng = random.Random(3100 + n)
+    family = [
+        ((1,), (2, 1)) + tuple(rng.choice(analysis._derangements(k)) for k in range(3, n + 1))
+        for _ in range(6)
+    ]
+    oracle = [analysis.gf_playback(strategies.Strategy(c)) for c in family]
+    assert [analysis.decomposition_stats(strategies.Strategy(c)) for c in family] == oracle
+    assert analysis._evaluate(family) == oracle
+
+
 def test_rho_counts_sum_to_a3():
     for s in strategies.enumerate_strategies(5, "inductive"):
         gf, rho = analysis.decomposition_stats(s)
@@ -294,9 +309,10 @@ def test_lookup_route_equals_fresh_decomposition(monkeypatch, kind, n):
     ]
     # One V per lower prefix and one chain structure per distinct top,
     # whether the top recurs (kept) or not; a lone decomposition builds
-    # neither.
-    assert built["values"] == (n > 1) * len({c[:-1] for c in family})
-    assert built["chains"] == (n > 1) * len({c[-1] for c in family})
+    # neither, nor does ``_evaluate`` of a family of one strategy.
+    ranked = n > 1 and len(family) > 1
+    assert built["values"] == ranked * len({c[:-1] for c in family})
+    assert built["chains"] == ranked * len({c[-1] for c in family})
 
 
 def _split_reps(kind, n):
@@ -308,13 +324,27 @@ def _split_reps(kind, n):
     return reps
 
 
-@pytest.mark.parametrize("kind, n", [("cyclic", 5), ("deranged", 5), ("inductive", 6)])
-def test_evaluate_is_the_same_over_any_split(kind, n):
+@pytest.mark.parametrize(
+    "kind, n, ranked",
+    [
+        pytest.param(kind, n, ranked, id=f"{kind}-{n}" + ("" if ranked else "-unranked"))
+        for ranked in (True, False)
+        for kind, n in (("cyclic", 5), ("deranged", 5), ("inductive", 6))
+    ],
+)
+def test_evaluate_is_the_same_over_any_split(monkeypatch, kind, n, ranked):
     """Workers take contiguous runs of the representatives, which may cut a
     prefix group and leave a top recurring in one run but not another;
-    every split must give the unsplit result."""
+    every split must give the unsplit result.  Unranked: with
+    ``MAX_RANKED`` below n every chunk takes its tops from the lock-set
+    pass, as scans at n >= 10 do, builds no V, and the whole and split
+    runs must equal the ranked result."""
     reps = _split_reps(kind, n)
     whole = analysis._evaluate(reps)
+    if not ranked:
+        monkeypatch.setattr(analysis, "MAX_RANKED", n - 1)
+        monkeypatch.setattr(analysis, "_top_values", None)  # any call fails
+        assert analysis._evaluate(reps) == whole
     group = sum(1 for c in reps if c[:-1] == reps[0][:-1])
     rng = random.Random(5700 + n)
     cuts = {0, 1, group // 2, group, len(reps) - 1, len(reps)}

@@ -11,7 +11,6 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from permwordle import analysis, cli, closedform, strategies
-from permwordle.analysis import GFCoefficients
 from permwordle.verify import (
     SEQUENCE_NAMES,
     THEOREMS,
@@ -228,16 +227,15 @@ def test_scan_checks_name_every_failing_member(kind, n):
         members.setdefault(orbit, []).append(text)
     wrong = result.orbits[-1]
     high, low = [o for o in sorted(members, key=lambda o: -len(members[o])) if o != wrong][:2]
-    stats = list(result.stats)
-    gf, rho, average = stats[wrong]
-    coeffs = {**gf.coeffs, 2: gf.coeffs[2] - 1, 3: gf.coeffs.get(3, 0) + 1}
-    stats[wrong] = (GFCoefficients(n, coeffs, gf.loop_count), rho, average)
-    rho2 = [rho[2] for _, rho, _ in stats]
-    extremes = {"best-rho2": (high, max(rho2) + 1), "worst-rho2": (low, min(rho2) - 1)}
+    # Edited copies of the columns: counts[t] holds a_(t + 1).
+    counts = {t: column[:] for t, column in result.stats.counts.items()}
+    counts[1][wrong] -= 1
+    counts[2][wrong] += 1
+    rho = tuple(column[:] for column in result.stats.rho)
+    extremes = {"best-rho2": (high, max(rho[1]) + 1), "worst-rho2": (low, min(rho[1]) - 1)}
     for orbit, value in extremes.values():
-        gf, rho, average = stats[orbit]
-        stats[orbit] = (gf, {**rho, 2: value}, average)
-    broken = dataclasses.replace(result, stats=stats)
+        rho[1][orbit] = value
+    broken = dataclasses.replace(result, stats=analysis.OrbitColumns(n, counts, rho))
     observed, _, ok = THEOREMS["linquad"].row(n, broken)
     assert not ok
     assert observed["first_counterexample"] == members[wrong][0]
