@@ -22,7 +22,9 @@ checked against the unshortened ``_canonical``).  At the top size a chunk
 of several strategies at a ranked size reads T(d) = m(d) + V(y(d)): V is
 the rank-indexed lookup table of the lower prefix and m, y come from the
 no-lock chains of the top component (``_top_chains``), which serve it
-under every lower prefix.  The tops that recur in a chunk are counted
+under every lower prefix.  Tops of one cycle type are conjugate, so their
+chains are one walk over D_n per cycle type (``_chain_rows``), relabelled
+per top and ranked.  The tops that recur in a chunk are counted
 together: big-int counters hold one fixed-width field per top, and one
 C-level sum of chain-end planes per chain length m and value v of V adds
 to every top's count of T = m + v at once (``_top_counts``), and the
@@ -45,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, wraps
-from math import comb, factorial, gcd, inf
+from math import comb, factorial, gcd, inf, lcm
 from typing import Iterable, NamedTuple
 
 from . import closedform, perms, strategies
@@ -141,14 +143,14 @@ LOOPED_CODE = 255  # LOOPED in a lookup table V; see ``_top_values``
 MAX_RANKED = 9  # n - 1 entries fix a permutation; up to 9 they fit a word
 
 
-def _words(ps: Iterable[Perm], n: int) -> bytes:
-    """Each permutation's first n - 1 entries as a zero-padded 8-byte word:
-    ``bytes.translate`` composes all with s, ``memoryview.cast`` reads ints.
-    Entry j of every word is one strided copy from the flat entries."""
-    flat = bytes(itertools.chain.from_iterable(ps))
+def _words(flat: bytes, n: int, columns: Iterable[int] | None = None) -> bytes:
+    """Each size-n permutation of the flat entries as a zero-padded 8-byte
+    word of its first n - 1 entries, which ``memoryview.cast`` reads as
+    ints: byte j of every word is one strided copy of column ``columns[j]``
+    of the rows (column j by default)."""
     words = bytearray(len(flat) // n * 8)
-    for j in range(n - 1):
-        words[j::8] = flat[j::n]
+    for j, q in enumerate(range(n - 1) if columns is None else columns):
+        words[j::8] = flat[q::n]
     return bytes(words)
 
 
@@ -172,9 +174,9 @@ def _ranks(n: int) -> _Ranks:
     ``bytes.translate`` of the flat D_k entries by j -> W_j gives the
     x(W_j), strided into identity words, and their ranks get e's entries."""
     count = factorial(n)
-    words = memoryview(_words(itertools.permutations(range(1, n + 1)), n)).cast("Q")
-    index = dict(zip(words.tolist(), itertools.count()))
-    blob = _words(_derangements(n), n)
+    every = bytes(itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))))
+    index = dict(zip(memoryview(_words(every, n)).cast("Q").tolist(), itertools.count()))
+    blob = _words(bytes(itertools.chain.from_iterable(_derangements(n))), n)
     position = [-1] * count
     _scatter(position, map(index.__getitem__, memoryview(blob).cast("Q").tolist()), itertools.count())
     entry = [0] * count
@@ -229,35 +231,80 @@ class TopChains(NamedTuple):
     The chain of d is x_1 = s o d, x_(i+1) = s o x_i while x_i is deranged;
     it ends at y(d) = x_m, the first composition with a fixed point, after
     m(d) = m steps.  ``ends[m - 1]`` holds the rank of y(d) for each d with
-    m(d) = m; ``loops`` counts the d whose chain repeats.
+    m(d) = m, in no set order; ``loops`` counts the d whose chain repeats.
+    Tops of one cycle type are conjugate, and ``_top_chains`` reads all
+    their chains off one walk (``_chain_rows``).
     """
 
     ends: tuple[list[int], ...]
     loops: int
 
 
-def _top_chains(top: Perm) -> TopChains:
-    """``TopChains`` of ``top``, following all chains at once, a step each.
+@lru_cache(maxsize=None)
+def _chain_rows(lengths: tuple[int, ...]) -> tuple[tuple[bytes, ...], int]:
+    """The no-lock chains of c, the permutation of cycle type ``lengths``
+    whose cycles are blocks of consecutive values, each shifted by one: by
+    m, the flat entries of y(d) for every d with m(d) = m, and the number
+    of d whose chain loops.  Kept for the life of the process, one entry
+    per cycle type of the tops read off a lookup table.
 
-    One ``bytes.translate`` composes s with every d; a deranged x_i is some
-    d' in D_n, so x_(i+1) = s o d' is read off those compositions by its
-    position.  x_j = s^j o d comes back to d at the order of s, so a chain
-    that has not ended by then never does."""
-    n = len(top)
-    ranks = _ranks(n)
-    compose = bytes.maketrans(bytes(range(n + 1)), bytes((0,) + top))
+    All chains are followed at once, a step each.  One ``bytes.translate``
+    composes c with every d; a deranged x_i is some d' in D_n, so
+    x_(i+1) = c o d' is read off those compositions by its position.  The
+    walk keeps the D_n position of x_(i-1) (x_0 = d), so the y(d) of the
+    chains that end at step m are one ``translate`` of the entries there.
+    x_j = c^j o d comes back to d at the order of c, so a chain that has
+    not ended by then never does."""
+    c: list[int] = []
+    for size in lengths:  # the block low..low + size - 1, shifted by one
+        low = len(c) + 1
+        c += [*range(low + 1, low + size), low]
+    n = len(c)
+    ranks, ds = _ranks(n), _derangements(n)
+    compose = bytes.maketrans(bytes(range(n + 1)), bytes([0, *c]))
     words = memoryview(ranks.blob.translate(compose)).cast("Q").tolist()
     firsts = xs = list(map(ranks.index.__getitem__, words))
-    identity, power, order = bytes(range(1, n + 1)), bytes(top), 1
-    while power != identity:
-        power, order = power.translate(compose), order + 1
-    ends = []
-    while xs and len(ends) < order - 1:
+    before: Iterable[int] = range(len(ds))  # the position of x_(i-1), by open chain
+    rows = []
+    while xs and len(rows) < lcm(*lengths) - 1:
         at = list(map(ranks.position.__getitem__, xs))
         ended = list(map(operator.lt, at, itertools.repeat(0)))
-        ends.append(list(itertools.compress(xs, ended)))
-        xs = list(map(firsts.__getitem__, itertools.compress(at, map(operator.not_, ended))))
-    return TopChains(tuple(ends), len(xs))
+        ys = map(ds.__getitem__, itertools.compress(before, ended))
+        rows.append(bytes(itertools.chain.from_iterable(ys)).translate(compose))
+        before = list(itertools.compress(at, map(operator.not_, ended)))
+        xs = list(map(firsts.__getitem__, before))
+    return tuple(rows), len(xs)
+
+
+def _top_chains(top: Perm) -> TopChains:
+    """``TopChains`` of ``top``, read off the walk of its cycle type.
+
+    Write top = p c p^-1, with c as in ``_chain_rows``: p lists the top's
+    cycles, shortest first, so that it sends c's blocks onto them.  Then
+    d -> e = p^-1 d p is a bijection of D_n, top^i o d = p (c^i o e) p^-1,
+    and the fixed points of p z p^-1 are p(Fix z).  So m(d) = m(e) and
+    y(d) = p y(e) p^-1, whose entry at j is p(y(e)(p^-1(j))): per m, one
+    ``translate`` by p and n - 1 strided copies of the columns p^-1(j)
+    make the words, and each rank is one ``index`` lookup."""
+    n, cycles, seen = len(top), [], set()
+    for start in top:
+        if start not in seen:
+            cycle = [start]
+            while top[cycle[-1] - 1] != start:
+                cycle.append(top[cycle[-1] - 1])
+            seen.update(cycle)
+            cycles.append(cycle)
+    cycles.sort(key=len)
+    p = bytes(itertools.chain.from_iterable(cycles))  # p(a) = p[a - 1]
+    rows, loops = _chain_rows(tuple(map(len, cycles)))
+    relabel = bytes.maketrans(bytes(range(1, n + 1)), p)
+    columns = list(map(p.index, range(1, n)))  # p^-1(j) - 1 for j < n
+    index = _ranks(n).index
+    ends = []
+    for flat in rows:
+        words = memoryview(_words(flat.translate(relabel), n, columns)).cast("Q")
+        ends.append(list(map(index.__getitem__, words.tolist())))
+    return TopChains(tuple(ends), loops)
 
 
 def _top_stats(top: Perm, values: bytes) -> Hist:

@@ -256,9 +256,9 @@ def _average_texts(stats: OrbitColumns, fraction: str, whole: str, infinite: str
 
 
 def _scan_csv(result: ScanResult) -> str:
-    """One line per member; each orbit's numeric fields are formatted
-    column by column, joined once per orbit and after each of its members'
-    ids."""
+    """One line per member; each orbit's fields are written by one
+    ``%``-format over the zipped columns, and joined after each of its
+    members' ids."""
     stats = result.stats
     width = stats.max_guesses()
     header = ["strategy_id", "n"]
@@ -267,14 +267,9 @@ def _scan_csv(result: ScanResult) -> str:
     # The average is infinite exactly when some secret loops: both its
     # fields are then empty.
     average = _average_texts(stats, "{},{}", "{},1", ",")
-    fields = [
-        itertools.repeat(str(result.n)),
-        *(map(str, stats.coefficient(r)) for r in range(1, width + 1)),
-        map(str, stats.loops()),
-        average,
-        *(map(str, column) for column in stats.rho),
-    ]
-    tails = list(map(",".join, zip(*fields)))
+    row = f"{result.n}," + "%d," * width + "%d,%s,%d,%d,%d"
+    columns = (stats.coefficient(r) for r in range(1, width + 1))
+    tails = list(map(row.__mod__, zip(*columns, stats.loops(), average, *stats.rho)))
     # The csv module would quote an id exactly when it holds a comma.
     ids = [f'"{text}"' if "," in text else text for text in result.texts]
     lines = map(",".join, zip(ids, map(tails.__getitem__, result.orbits)))

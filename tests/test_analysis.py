@@ -759,6 +759,101 @@ def test_top_chains_are_prefix_independent(n):
             assert analysis.decomposition_stats(s)[1][3] == no_lock
 
 
+def _reference_top_chains(top):
+    """``TopChains`` of ``top`` by its own walk over D_n, all chains at once:
+    one ``translate`` composes the top with every d, and a deranged x_i is
+    some d' in D_n, so x_(i+1) = top o d' is read off those compositions by
+    its position.  A chain that has not ended by the order of the top
+    loops."""
+    n = len(top)
+    ranks = analysis._ranks(n)
+    compose = bytes.maketrans(bytes(range(n + 1)), bytes((0,) + top))
+    words = memoryview(ranks.blob.translate(compose)).cast("Q").tolist()
+    firsts = xs = list(map(ranks.index.__getitem__, words))
+    identity, power, order = bytes(range(1, n + 1)), bytes(top), 1
+    while power != identity:
+        power, order = power.translate(compose), order + 1
+    ends = []
+    while xs and len(ends) < order - 1:
+        at = list(map(ranks.position.__getitem__, xs))
+        ended = [a < 0 for a in at]
+        ends.append(list(itertools.compress(xs, ended)))
+        xs = [firsts[a] for a in at if a >= 0]
+    return analysis.TopChains(tuple(ends), len(xs))
+
+
+def _chain_pairs(chains):
+    return sorted((m, y) for m, ends in enumerate(chains.ends, 1) for y in ends), chains.loops
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("cyclic", n) for n in range(2, 8)] + [("deranged", n) for n in range(2, 7)]
+)
+def test_conjugation_route_equals_the_per_top_walk(kind, n):
+    """Every distinct top of the family: the chains read off its cycle
+    type's walk are its own walk's, as (m, rank) pairs and loops."""
+    for top in strategies.component_pools(n, kind)[-1]:
+        assert _chain_pairs(analysis._top_chains(top)) == _chain_pairs(_reference_top_chains(top))
+
+
+def _cycle_types(n, least=2):
+    """The cycle types of size n with no part below ``least``, ascending."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(least, n + 1) for rest in _cycle_types(n - k, k)]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_conjugation_route_equals_the_per_top_walk_at_every_cycle_type(n):
+    """One seeded top of every fixed-point-free cycle type, repeated
+    lengths included (2+2+2+2, 3+3+3, 2+2+2+3), and the pair-swap top,
+    some of whose chains loop."""
+    rng = random.Random(2300 + n)
+    types = _cycle_types(n)
+    assert len(types) == {8: 7, 9: 8}[n]
+    tops = [_pair_swap_top(n)]
+    for lengths in types:
+        blocks = [list(range(low, low + size)) for low, size in zip(itertools.accumulate((1,) + lengths), lengths)]
+        values = rng.sample(range(1, n + 1), n)  # a seeded relabelling p
+        top = [0] * n
+        for block in blocks:
+            for a, b in zip(block, block[1:] + block[:1]):
+                top[values[a - 1] - 1] = values[b - 1]  # top = p c p^-1
+        tops.append(tuple(top))
+    assert sum(_reference_top_chains(t).loops for t in tops) > 0
+    for top in tops:
+        assert _chain_pairs(analysis._top_chains(top)) == _chain_pairs(_reference_top_chains(top))
+
+
+@pytest.mark.parametrize(
+    "kind, n, types",
+    [
+        ("inductive", 7, {(7,)}),
+        ("cyclic", 6, {(6,)}),
+        ("deranged", 6, {(6,), (2, 4), (3, 3), (2, 2, 2)}),
+    ],
+)
+def test_scan_walks_the_chains_once_per_cycle_type(monkeypatch, kind, n, types):
+    """A scan builds one ``_chain_rows`` entry per cycle type of its tops;
+    a lone strategy builds none."""
+    analysis._chain_rows.cache_clear()
+    seen = set()
+    walk = analysis._chain_rows
+
+    def recording(lengths):
+        seen.add(lengths)
+        return walk(lengths)
+
+    monkeypatch.setattr(analysis, "_chain_rows", recording)
+    analysis.scan(n, kind)
+    assert seen == types
+    assert walk.cache_info().currsize == walk.cache_info().misses == len(types)
+    walk.cache_clear()
+    analysis.generating_function(strategies.cyclic_shift(n))
+    analysis.decomposition_stats(strategies.cyclic_shift(n), SubgameMemo())
+    assert walk.cache_info().currsize == 0
+
+
 def test_memo_keeps_at_most_one_lookup_table(monkeypatch):
     """The memo holds the lookup table of one lower prefix at a time: the
     one ``_evaluate`` prepared for the group being evaluated.  A strategy
