@@ -783,8 +783,8 @@ def _reference_top_chains(top):
 
 
 def _chain_pairs(chains):
-    """The (m, rank) pairs of the chain ends, sorted, as sorted ranks by m,
-    and the loop count."""
+    """The chain ends as sorted ranks by m, which is the sorted (m, rank)
+    pairs, and the loop count."""
     return [sorted(ends) for ends in chains.ends], chains.loops
 
 
@@ -815,7 +815,8 @@ def test_conjugation_route_equals_the_per_top_walk_at_every_cycle_type(n):
     assert len(types) == {8: 7, 9: 8}[n]
     tops = [_pair_swap_top(n)]
     for lengths in types:
-        blocks = [list(range(low, low + size)) for low, size in zip(itertools.accumulate((1,) + lengths), lengths)]
+        lows = itertools.accumulate((1,) + lengths)
+        blocks = [list(range(low, low + size)) for low, size in zip(lows, lengths)]
         values = rng.sample(range(1, n + 1), n)  # a seeded relabelling p
         top = [0] * n
         for block in blocks:
