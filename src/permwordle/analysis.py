@@ -13,9 +13,10 @@ The two pairs must agree everywhere; tests enforce it.  The decomposition
 has one evaluator, the scan chunk (``_scan_chunk``), of a family's
 representatives or of one strategy (``decomposition_stats``), and one
 conversion of counts into (gf, rho) (``OrbitColumns.stats``).  Each size
-k is one pass over D_k (``_size_stats``): the derangements are grouped by
-the positions they lock, and each group's successors are relabelled and
-looked up at once.  A chunk's memo is shared by the strategies that agree
+k is one pass over D_k (``_size_stats``): the rounds of the successor
+walk (``_lock_rounds``) group the derangements by the round and the
+positions they first lock, and each group's successors are relabelled
+and looked up at once.  A chunk's memo is shared by the strategies that agree
 on component prefixes, which makes family-wide sweeps cheap, and a scan
 evaluates one strategy per rotation or mirror orbit (``_orbit_map``,
 checked against the unshortened ``_canonical``).  At the top size a chunk
@@ -23,8 +24,9 @@ of several strategies at a ranked size reads T(d) = m(d) + V(y(d)): V is
 the rank-indexed lookup table of the lower prefix and m, y come from the
 no-lock chains of the top component (``_top_chains``), which serve it
 under every lower prefix.  Tops of one cycle type are conjugate, so their
-chains are one walk over D_n per cycle type (``_chain_rows``), relabelled
-per top and ranked.  The tops that recur in a chunk are counted
+chains are the rounds of one walk over D_n per cycle type
+(``_chain_rows``, the same ``_lock_rounds``), relabelled per top and
+ranked.  The tops that recur in a chunk are counted
 together: big-int counters hold one fixed-width field per top, and one
 C-level sum of chain-end planes per chain length m and value v of V adds
 to every top's count of T = m + v at once (``_top_counts``), and the
@@ -46,8 +48,8 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, wraps
-from math import comb, factorial, gcd, inf, lcm
+from functools import cached_property, lru_cache, wraps
+from math import comb, factorial, gcd, inf
 from typing import Iterable, NamedTuple
 
 from . import closedform, perms, strategies
@@ -159,8 +161,6 @@ class _Ranks(NamedTuple):
     permutation is its lexicographic index in S_n."""
 
     index: dict[int, int]  # rank by word
-    blob: bytes  # the words of _derangements(n)
-    position: list[int]  # by rank: the position in _derangements(n), or -1
     # By rank: the entry of T(rd(x)) in the flat list 0 (the identity),
     # then T(e) for e in _derangements(k), k = 2..n-1; 0 for derangements.
     layout: operator.itemgetter
@@ -173,13 +173,9 @@ def _ranks(n: int) -> _Ranks:
     x(W_j) = W_e(j), so its layout entry is that of e: per (k, W), one
     ``bytes.translate`` of the flat D_k entries by j -> W_j gives the
     x(W_j), strided into identity words, and their ranks get e's entries."""
-    count = factorial(n)
     every = bytes(itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))))
     index = dict(zip(memoryview(_words(every, n)).cast("Q").tolist(), itertools.count()))
-    blob = _words(bytes(itertools.chain.from_iterable(_derangements(n))), n)
-    position = [-1] * count
-    _scatter(position, map(index.__getitem__, memoryview(blob).cast("Q").tolist()), itertools.count())
-    entry = [0] * count
+    entry = [0] * factorial(n)
     identity = bytes(range(1, n)).ljust(8, b"\0")
     offset = 1
     for k in range(2, n):
@@ -194,7 +190,7 @@ def _ranks(n: int) -> _Ranks:
             ranks = map(index.__getitem__, memoryview(xs).cast("Q").tolist())
             _scatter(entry, ranks, range(offset, offset + size))
         offset += size
-    return _Ranks(index, blob, position, operator.itemgetter(*entry))
+    return _Ranks(index, operator.itemgetter(*entry))
 
 
 def _scatter(target: list[int], at: Iterable[int], values: Iterable[int]) -> None:
@@ -248,32 +244,21 @@ def _chain_rows(lengths: tuple[int, ...]) -> tuple[tuple[bytes, ...], int]:
     of d whose chain loops.  Kept for the life of the process, one entry
     per cycle type of the tops read off a lookup table.
 
-    All chains are followed at once, a step each.  One ``bytes.translate``
-    composes c with every d; a deranged x_i is some d' in D_n, so
-    x_(i+1) = c o d' is read off those compositions by its position.  The
-    walk keeps the D_n position of x_(i-1) (x_0 = d), so the y(d) of the
-    chains that end at step m are one ``translate`` of the entries there.
-    x_j = c^j o d comes back to d at the order of c, so a chain that has
-    not ended by then never does."""
+    x_m = c^m o d, so the chains are the rounds of c over D_n
+    (``_lock_rounds``): round m holds the d with m(d) = m, and one
+    ``translate`` of their entries by c^m gives their y(d).  The d that
+    never lock are the chains that loop."""
     c: list[int] = []
     for size in lengths:  # the block low..low + size - 1, shifted by one
         low = len(c) + 1
         c += [*range(low + 1, low + size), low]
     n = len(c)
-    ranks, ds = _ranks(n), _derangements(n)
-    compose = bytes.maketrans(bytes(range(n + 1)), bytes([0, *c]))
-    words = memoryview(ranks.blob.translate(compose)).cast("Q").tolist()
-    firsts = xs = list(map(ranks.index.__getitem__, words))
-    before: Iterable[int] = range(len(ds))  # the position of x_(i-1), by open chain
-    rows = []
-    while xs and len(rows) < lcm(*lengths) - 1:
-        at = list(map(ranks.position.__getitem__, xs))
-        ended = list(map(operator.lt, at, itertools.repeat(0)))
-        ys = map(ds.__getitem__, itertools.compress(before, ended))
-        rows.append(bytes(itertools.chain.from_iterable(ys)).translate(compose))
-        before = list(itertools.compress(at, map(operator.not_, ended)))
-        xs = list(map(firsts.__getitem__, before))
-    return tuple(rows), len(xs)
+    rounds, looping = _lock_rounds(n, bytes.maketrans(bytes(range(1, n + 1)), bytes(c)))
+    rows = tuple(
+        bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(groups.values()))).translate(power)
+        for power, groups in rounds
+    )
+    return rows, len(looping)
 
 
 def _top_chains(top: Perm) -> TopChains:
@@ -370,65 +355,74 @@ def _relabel(k: int, key: int) -> tuple[int, bytes, bytes]:
 
 
 @_collector_paused
-def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
-    """Histogram of T over D_k, from the complete tables of the sizes below
-    k.  Fills ``tables[k]`` completely when ``tables`` has a size-k table.
+def _lock_rounds(k: int, step: bytes) -> tuple[list[tuple[bytes, dict[int, list[Perm]]]], Sequence[Perm]]:
+    """The rounds of s over D_k, ``step`` the translation table of s: per
+    round i, the table of s^i and the d whose first composition with a
+    fixed point is s^i o d, grouped by lock-set key (``_lock_keys``); and
+    the d that never lock, as s^i o d comes back to d at the order of s.
 
-    T(d) = 1 + T(rd(s o d)) with s = s_k, and s o d is fixed exactly where
-    the guess s^-1 agrees with d.  Round i takes the d whose s^j o d are
-    deranged for every j < i (all of D_k in round 1) and groups them by
-    the lock set of s^i o d, one key per d from ``_lock_keys``.  A group
-    with lock set L has T(d) = i + T(rd(s^i o d)), rd(s^i o d) of size
-    |W| for W the complement of L: one ``translate`` of the group's flat
-    entries by s^i and one that relabels W and deletes L give every rd at
-    once, and the size-|W| table is read by a C-level ``map`` over their
-    tuples.  The d that lock nothing go on to round i + 1.  s^i o d comes
-    back to d at the order of s, so a d that has locked nothing by then
-    never does: it loops.  A group is a list of the cached D_k tuples,
-    filled by one C-level ``map`` of ``list.append``; nothing is built per
-    d but the rd tuples, each dropped once it is looked up.  The groups
-    together hold all of D_k, so from k = ``LARGE_K`` the pass runs with
-    the collector paused: a collection inside it would walk them all,
-    whichever allocation set it off."""
-    step =bytes.maketrans(bytes(range(1, k + 1)), bytes(strategy.components[k - 1]))
-    table = tables.get(k)
-    hist: Counter = Counter()
-    power, rounds, pending = step, 1, _derangements(k)
+    A round keys its pending d by one ``translate`` of their flat entries
+    and groups them with one C-level ``map`` of ``list.append``: a group
+    is a list of the cached D_k tuples, nothing is built per d, and the d
+    that lock nothing (key 0) go on to the next round.  The groups hold
+    all of D_k, so from k = ``LARGE_K`` the walk runs with the collector
+    paused: a collection inside it would walk them all."""
+    rounds = []
+    power, pending = step, _derangements(k)
     while pending and power != _IDENTITY:
         keys = _lock_keys(bytes(itertools.chain.from_iterable(pending)).translate(power), k)
         groups: dict[int, list[Perm]] = {key: [] for key in set(keys)}
         deque(map(list.append, map(groups.__getitem__, keys), pending), maxlen=0)
         pending = groups.pop(0, [])
+        rounds.append((power, groups))
+        power = power.translate(step)
+    return rounds, pending
+
+
+@_collector_paused
+def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
+    """Histogram of T over D_k, from the complete tables of the sizes below
+    k.  Fills ``tables[k]`` completely when ``tables`` has a size-k table.
+
+    T(d) = 1 + T(rd(s o d)) with s = s_k, and s o d is fixed exactly where
+    the guess s^-1 agrees with d.  A group of round i of ``_lock_rounds``
+    with lock set L has T(d) = i + T(rd(s^i o d)), rd(s^i o d) of size |W|
+    for W the complement of L: one ``translate`` of the group's flat
+    entries by s^i and one that relabels W and deletes L give every rd at
+    once, and the size-|W| table is read by a C-level ``map`` over their
+    tuples, each dropped once it is looked up.  The d that never lock
+    loop.  The collector is paused from k = ``LARGE_K``, as in the walk."""
+    table = tables.get(k)
+    hist: Counter = Counter()
+    step = bytes.maketrans(bytes(range(1, k + 1)), bytes(strategy.components[k - 1]))
+    rounds, looping = _lock_rounds(k, step)
+    for i, (power, groups) in enumerate(rounds, 1):
         found: list[int | float] = []  # T(rd(s^i o d)) by group; 0 for the identity
         for key, group in groups.items():
             size, relabel, fixed = _relabel(k, key)
             flat = bytes(itertools.chain.from_iterable(group)).translate(power)
             rds = zip(*[iter(flat.translate(relabel, fixed))] * size)  # a tuple per `size` bytes
             found += map(tables[size].__getitem__, rds) if size else [0]
-        ts = map(operator.add, found, itertools.repeat(rounds))
+        ts = map(operator.add, found, itertools.repeat(i))
         if table is not None:
             ts = list(ts)
             table.update(zip(itertools.chain.from_iterable(groups.values()), ts))
         hist.update(ts)
-        power, rounds = power.translate(step), rounds + 1
-    if pending:
-        hist[LOOPED] += len(pending)
+    if looping:
+        hist[LOOPED] += len(looping)
         if table is not None:
-            table.update(dict.fromkeys(pending, LOOPED))
+            table.update(dict.fromkeys(looping, LOOPED))
     return hist
 
 
 class LowerPrefix(NamedTuple):
     """What the strategies of lower prefix s_1..s_(n-1) share: the sum of
     C(n, k) times the T histogram of each size k < n and, in a chunk of
-    several strategies at a ranked size, V; once a chunk has read its
-    columns back, the row of each of its strategies, by top, in them."""
+    several strategies at a ranked size, V."""
 
     components: tuple[Perm, ...]
     weighted: Counter
     values: bytes | None = None
-    rows: dict[Perm, int] | None = None
-    columns: OrbitColumns | None = None
 
 
 def _lower_stats(strategy: Strategy, memo: SubgameMemo) -> LowerPrefix:
@@ -557,15 +551,15 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
     The returned dict maps the first-hit round i in {1, 2, 3} to the number
     of secrets solved in exactly three guesses whose first correct position
     appeared on guess i.  The strategy is evaluated as a scan chunk of its
-    own on ``memo`` (``_scan_chunk``), which builds no rank structure; when
-    a chunk has prepared ``memo.lower`` with a row for it, that row is read
-    back instead.
+    own on ``memo`` (``_scan_chunk``), which builds no rank structure;
+    when ``memo.row`` holds the strategy's row in a scan's columns (an
+    in-process ``scan`` sets it), that row is read back instead.
     """
     memo = memo or SubgameMemo()
-    lower = memo.lower
-    if lower is not None and lower.components == strategy.components[:-1] and strategy.top in lower.rows:
-        return lower.columns.stats(lower.rows[strategy.top])
-    return _join(strategy.n, [_scan_chunk([strategy.components], memo, read_back=False)]).stats(0)
+    if memo.row is not None and memo.row[0] == strategy.components:
+        _, columns, index = memo.row
+        return columns.stats(index)
+    return _join(strategy.n, [_scan_chunk([strategy.components], memo)]).stats(0)
 
 
 def gf_playback(strategy: Strategy) -> Stats:
@@ -943,9 +937,7 @@ def _group_counts(
     return columns
 
 
-def _scan_chunk(
-    reps: list[tuple[Perm, ...]], memo: SubgameMemo | None = None, read_back: bool = True
-) -> Chunk:
+def _scan_chunk(reps: list[tuple[Perm, ...]], memo: SubgameMemo | None = None) -> Chunk:
     """The results of a run of representatives on ``memo`` (a scan worker's
     or one strategy's): their ``OrbitColumns`` as bytes, a few bytes per
     orbit and column.
@@ -960,14 +952,7 @@ def _scan_chunk(
     any other top off V.  Each group's V and counters (n! bytes and a few
     bytes per recurring top and T) are kept until its columns are read.
     Every other chunk (one strategy, n = 1, n > ``MAX_RANKED``) reads each
-    top off the lock-set pass, with tables only below n.
-
-    With ``read_back``, every representative then passes once, in order,
-    through ``decomposition_stats`` on the chunk's memo, which reads its row
-    back: the per-strategy step that ``perfbench/traced.py`` times inside an
-    in-process scan (``test_scan_keeps_the_traced_entry_points``).  It
-    costs about 7 us an orbit and changes no result.  Pool workers skip it:
-    a tracer in the main process never sees the calls a worker makes."""
+    top off the lock-set pass, with tables only below n."""
     memo = memo or SubgameMemo()
     n = len(reps[0]) if reps else 0
     ranked = len(reps) > 1 and 1 < n <= MAX_RANKED
@@ -1004,15 +989,6 @@ def _scan_chunk(
         rho[1].extend(map(operator.sub, map(operator.sub, columns.get(2, zeros), hit_one), no_lock))
         rho[2].extend(no_lock)
     ts = sorted(counts)
-    if read_back:
-        read = OrbitColumns(n, {t: counts[t] for t in ts}, rho)
-        start = 0
-        for group, lower in zip(groups, lowers):
-            rows = dict(zip((comps[-1] for comps in group), itertools.count(start)))
-            memo.lower = lower._replace(rows=rows, columns=read)
-            for comps in group:
-                decomposition_stats(Strategy(comps), memo)
-            start += len(group)
     return tuple(ts), tuple(counts[t].tobytes() for t in ts), tuple(column.tobytes() for column in rho)
 
 
@@ -1042,7 +1018,16 @@ def scan(
     the summary is read off the orbits' columns.  Workers own private memos,
     take contiguous runs of the representatives and return their columns as
     bytes (``_scan_chunk``), which ``_join`` concatenates and checks, so
-    results are identical for any parallelism degree."""
+    results are identical for any parallelism degree.
+
+    In process (one job, or too few representatives for a pool), every
+    representative then passes once, in order, through
+    ``decomposition_stats`` on the scan's memo, which reads its row back
+    through ``memo.row``: the per-strategy step that
+    ``perfbench/traced.py`` times inside a scan
+    (``test_scan_keeps_the_traced_entry_points``).  It changes no result.
+    A pool has no such pass: a tracer in the main process never sees the
+    calls a worker makes."""
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     check_scan_cost(n, kind, max_cost)
@@ -1052,15 +1037,19 @@ def scan(
         if 1 < n <= MAX_RANKED:
             _ranks(n)  # built once here and shared by the forked workers
         bounds = [len(reps) * i // jobs for i in range(jobs + 1)]
-        worker = partial(_scan_chunk, read_back=False)
         # Imported here, where a pool starts: importing multiprocessing costs
         # about 8 ms, which every command would otherwise pay at start-up.
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(worker, [reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+            chunks = pool.map(_scan_chunk, [reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        stats = _join(n, chunks)
     else:
-        chunks = [_scan_chunk(reps)]
-    stats = _join(n, chunks)
+        memo = SubgameMemo()
+        stats = _join(n, [_scan_chunk(reps, memo)])
+        for i, comps in enumerate(reps):
+            memo.row = (comps, stats, i)
+            decomposition_stats(Strategy(comps), memo)
+        memo.row = None
     texts = strategies.strategy_texts(pools)
     return ScanResult(n, kind, texts, orbits, stats, _summarize(texts, orbits, stats))

@@ -198,9 +198,9 @@ class SubgameMemo:
     concurrent mutation; use one memo per worker, or populate it fully and
     then share it read-only.
 
-    ``lower`` is a scan chunk's lower prefix s_1..s_{n-1} with each of its
-    strategies' row in the chunk's columns, set as the chunk reads them back
-    (else None); a strategy with no row there is a chunk of its own.
+    ``row`` is (components, columns, index) while an in-process scan reads
+    one representative back: that strategy's results are row ``index`` of
+    the scan's columns.  Else it is None, and every strategy is evaluated.
     """
 
     def __init__(self) -> None:
@@ -208,7 +208,7 @@ class SubgameMemo:
         # T-value histograms over whole derangement classes, also keyed by
         # component prefix; maintained by the analysis layer.
         self.hist_cache: dict[tuple[Perm, ...], dict[int | float, int]] = {}
-        self.lower = None
+        self.row = None
 
     def table(self, strategy: Strategy, k: int) -> dict[Perm, int | float]:
         """The value table for subgames of size k under this strategy."""

@@ -361,7 +361,7 @@ def _cyclic_6_chunks():
     """The two worker chunks of a jobs=2 scan of cyclic n = 6."""
     _, reps = analysis._orbit_map("cyclic", strategies.component_pools(6, "cyclic"))
     half = len(reps) // 2
-    return tuple(analysis._scan_chunk(chunk, read_back=False) for chunk in (reps[:half], reps[half:]))
+    return tuple(analysis._scan_chunk(chunk) for chunk in (reps[:half], reps[half:]))
 
 
 def _objects(value):
@@ -610,6 +610,61 @@ def test_size_pass_equals_the_per_derangement_loop(family):
         assert hist[LOOPED] == 80 + 128
 
 
+def _first_lock(s, d):
+    """(i, key) for the first i at which s^i o d has a fixed point, with
+    bit q of key set when position q + 1 is fixed; None when s^i o d comes
+    back to d before any has one."""
+    image, x = (0,) + s, d
+    for i in itertools.count(1):
+        x = tuple(map(image.__getitem__, x))  # s o x
+        key = 0
+        for q, v in enumerate(x):
+            if v == q + 1:
+                key |= 1 << q
+        if key:
+            return i, key
+        if x == d:
+            return None
+
+
+def _lock_round_components(family):
+    """The components of one case of ``test_lock_rounds_partition_d_k``."""
+    kind, n = family
+    if kind == "seeded":
+        rng = random.Random(2400 + n)
+        return [_random_cycle(rng, n), _random_cycle(rng, n), rng.choice(analysis._derangements(n))]
+    if kind == "pair-swap":
+        return [_pair_swap_top(k) for k in range(3, n + 1)]
+    return [c for pool in strategies.component_pools(n, kind)[1:] for c in pool]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [("cyclic", 7), ("deranged", 6), ("seeded", 8), ("seeded", 9), ("pair-swap", 9)],
+    ids=lambda family: "-".join(map(str, family)),
+)
+def test_lock_rounds_partition_d_k(family):
+    """Every component s of the family (all k-cycles for k <= 7, all
+    derangements for k <= 6, seeded ones at 8 and 9, the pair-swap tops):
+    ``_lock_rounds`` lists |D_k| entries, and each d of D_k is in one
+    round's group or among the looping d, with round i the first at which
+    s^i o d has a fixed point, key its fixed-point set and the round's
+    table that of s^i, as the walk of each d by itself gives them."""
+    for s in _lock_round_components(family):
+        k = len(s)
+        ds = analysis._derangements(k)
+        rounds, looping = analysis._lock_rounds(k, bytes.maketrans(bytes(range(1, k + 1)), bytes(s)))
+        assert sum(len(group) for _, groups in rounds for group in groups.values()) + len(looping) == len(ds)
+        power = s
+        for table, _ in rounds:
+            assert table == bytes.maketrans(bytes(range(1, k + 1)), bytes(power))
+            power = perms.compose(s, power)
+        found = dict.fromkeys(looping)
+        for i, (_, groups) in enumerate(rounds, 1):
+            found.update((d, (i, key)) for key, group in groups.items() for d in group)
+        assert found == {d: _first_lock(s, d) for d in ds}
+
+
 def test_size_pass_keeps_no_top_table():
     """Without a size-k table the pass only counts: the lone top-size pass
     of ``decomposition_stats`` keeps no table and fills none below."""
@@ -647,18 +702,15 @@ def test_decomposition_peak_is_below_the_per_derangement_loop():
     assert peak(lambda: analysis.decomposition_stats(s)) <= peak(loop)
 
 
+def _word(p):
+    """The rank route's word of p: its first n - 1 entries as one int."""
+    return int.from_bytes(bytes(p[:-1]).ljust(8, b"\0"), sys.byteorder)
+
+
 def _reference_ranks(n):
     """``analysis._ranks`` built one permutation at a time: each word packed
     by itself, each x with a fixed point filled in place, x(W_j) = W_e(j)."""
-
-    def word(p):
-        return int.from_bytes(bytes(p[:-1]).ljust(8, b"\0"), sys.byteorder)
-
-    index = {word(p): r for r, p in enumerate(itertools.permutations(range(1, n + 1)))}
-    blob = b"".join(bytes(d[:-1]).ljust(8, b"\0") for d in analysis._derangements(n))
-    position = [-1] * len(index)
-    for i, d in enumerate(analysis._derangements(n)):
-        position[index[word(d)]] = i
+    index = {_word(p): r for r, p in enumerate(itertools.permutations(range(1, n + 1)))}
     entry = [0] * len(index)
     offset = 1
     for k in range(2, n):
@@ -668,18 +720,16 @@ def _reference_ranks(n):
             for i, e in enumerate(analysis._derangements(k), offset):
                 for q, v in zip(wrong, e):
                     x[q] = targets[v]
-                entry[index[word(x)]] = i
+                entry[index[_word(x)]] = i
         offset += len(analysis._derangements(k))
-    return index, blob, position, entry
+    return index, entry
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ranks_equal_the_per_permutation_construction(n):
     ranks = analysis._ranks(n)
-    index, blob, position, entry = _reference_ranks(n)
+    index, entry = _reference_ranks(n)
     assert list(ranks.index.items()) == list(index.items())
-    assert ranks.blob == blob
-    assert ranks.position == position
     assert ranks.layout(range(max(entry) + 1)) == tuple(entry)
 
 
@@ -759,6 +809,24 @@ def test_top_chains_are_prefix_independent(n):
             assert analysis.decomposition_stats(s)[1][3] == no_lock
 
 
+def _flat_words(flat, n):
+    """The word of each size-n permutation in the flat entries: its first
+    n - 1 entries, one strided copy per column, read as one int."""
+    words = bytearray(len(flat) // n * 8)
+    for j in range(n - 1):
+        words[j::8] = flat[j::n]
+    return memoryview(words).cast("Q").tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_walk_base(n):
+    """The flat entries of D_n, and the D_n position of each derangement
+    by rank."""
+    flat = bytes(itertools.chain.from_iterable(analysis._derangements(n)))
+    index = analysis._ranks(n).index
+    return flat, dict(zip(map(index.__getitem__, _flat_words(flat, n)), itertools.count()))
+
+
 def _reference_top_chains(top):
     """``TopChains`` of ``top`` by its own walk over D_n, all chains at once:
     one ``translate`` composes the top with every d, and a deranged x_i is
@@ -766,16 +834,16 @@ def _reference_top_chains(top):
     its position.  A chain that has not ended by the order of the top
     loops."""
     n = len(top)
-    ranks = analysis._ranks(n)
+    index = analysis._ranks(n).index
+    flat, position = _reference_walk_base(n)
     compose = bytes.maketrans(bytes(range(n + 1)), bytes((0,) + top))
-    words = memoryview(ranks.blob.translate(compose)).cast("Q").tolist()
-    firsts = xs = list(map(ranks.index.__getitem__, words))
+    firsts = xs = list(map(index.__getitem__, _flat_words(flat.translate(compose), n)))
     identity, power, order = bytes(range(1, n + 1)), bytes(top), 1
     while power != identity:
         power, order = power.translate(compose), order + 1
     ends = []
     while xs and len(ends) < order - 1:
-        at = list(map(ranks.position.__getitem__, xs))
+        at = [position.get(x, -1) for x in xs]
         ended = [a < 0 for a in at]
         ends.append(list(itertools.compress(xs, ended)))
         xs = [firsts[a] for a in at if a >= 0]
@@ -860,34 +928,41 @@ def test_scan_walks_the_chains_once_per_cycle_type(monkeypatch, kind, n, types):
     assert walk.cache_info().currsize == 0
 
 
-def test_memo_keeps_at_most_one_lookup_table(monkeypatch):
-    """The memo holds the lookup table of one lower prefix at a time: the
-    one ``_evaluate`` prepared for the group being evaluated.  A strategy
-    of another prefix ignores it and is evaluated in full."""
-    seen = []
-    decompose = analysis.decomposition_stats
-
-    def recording(strategy, memo=None):
-        seen.append((strategy.components[:-1], memo.lower))
-        return decompose(strategy, memo)
-
-    monkeypatch.setattr(analysis, "decomposition_stats", recording)
+def test_memo_row_reads_back_only_its_strategy(monkeypatch):
+    """A memo whose ``row`` names a representative reads that strategy's
+    results off the columns at the row's index, and evaluates any other
+    strategy in full.  ``_evaluate`` and a lone ``decomposition_stats`` read
+    nothing back, so neither makes a further ``decomposition_stats`` call."""
     right = strategies.cyclic_shift(6).components[:-1]
     other = ((1,), (2, 1), (3, 1, 2), (2, 3, 4, 1), (2, 3, 4, 5, 1))
     tops = [(2, 3, 4, 5, 6, 1), (6, 1, 2, 3, 4, 5), (3, 1, 5, 2, 6, 4)]
     reps = [right + (t,) for t in tops] + [other + (t,) for t in tops[:2]]
-    analysis._evaluate(reps)
-    for prefix, lower in seen:
-        assert lower.components == prefix and len(lower.values) == factorial(6)
-    tables = [lower.values for _, lower in seen]
-    assert tables[0] is tables[1] is tables[2] and tables[3] is tables[4]
-    assert tables[2] is not tables[3]
-    monkeypatch.undo()
+    columns = analysis._join(6, [analysis._scan_chunk(reps)])
     memo = SubgameMemo()
-    memo.lower = seen[0][1]  # prepared for ``right``
-    lone = strategies.Strategy(reps[3])
-    assert analysis.decomposition_stats(lone, memo) == analysis.decomposition_stats(lone)
-    assert memo.lower is seen[0][1]
+    assert memo.row is None
+    memo.row = (reps[1], columns, 1)
+    assert analysis.decomposition_stats(strategies.Strategy(reps[1]), memo) == columns.stats(1)
+    # Another index is read as given, not recomputed.
+    assert columns.stats(3) != columns.stats(1)
+    memo.row = (reps[1], columns, 3)
+    assert analysis.decomposition_stats(strategies.Strategy(reps[1]), memo) == columns.stats(3)
+    for i in (0, 2, 3, 4):
+        lone = strategies.Strategy(reps[i])
+        assert analysis.decomposition_stats(lone, memo) == columns.stats(i)
+    assert memo.row == (reps[1], columns, 3)
+
+    calls = []
+    decompose = analysis.decomposition_stats
+
+    def counting(strategy, memo=None):
+        calls.append(strategy.components)
+        return decompose(strategy, memo)
+
+    monkeypatch.setattr(analysis, "decomposition_stats", counting)
+    assert [columns.stats(i) for i in range(len(reps))] == analysis._evaluate(reps)
+    assert calls == []
+    analysis.decomposition_stats(strategies.Strategy(reps[0]))
+    assert calls == [reps[0]]
 
 
 def test_single_strategy_builds_no_lookup():
