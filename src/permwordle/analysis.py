@@ -20,17 +20,18 @@ and looked up at once.  A chunk's memo is shared by the strategies that agree
 on component prefixes, which makes family-wide sweeps cheap, and a scan
 evaluates one strategy per rotation or mirror orbit (``_orbit_map``,
 checked against the unshortened ``_canonical``).  At the top size a chunk
-of several strategies at a ranked size reads T(d) = m(d) + V(y(d)): V is
-the rank-indexed lookup table of the lower prefix and m, y come from the
-no-lock chains of the top component (``_top_chains``), which serve it
-under every lower prefix.  Tops of one cycle type are conjugate, so their
-chains are the rounds of one walk over D_n per cycle type
-(``_chain_rows``, the same ``_lock_rounds``), relabelled per top and
-ranked.  The tops that recur in a chunk are counted
-together: big-int counters hold one fixed-width field per top, and one
-C-level sum of chain-end planes per chain length m and value v of V adds
-to every top's count of T = m + v at once (``_top_counts``), and the
-orbits' count columns are read off those counters.  A lone top is read
+of several strategies up to ``MAX_RANKED`` reads T(d) = m(d) + V(y(d)):
+V is the lower prefix's tables as one flat list, read at the entry of
+rd(y), and m, y come from the no-lock chains of the top component
+(``_top_chains``), which serve it under every lower prefix.  Tops of one
+cycle type are conjugate, so their chains are the rounds of one walk over
+D_n per cycle type (``_chain_rows``, the same ``_lock_rounds``),
+relabelled per top and keyed by entry (``_entries``).  The tops that
+recur in a chunk are counted together: big-int counters hold one
+fixed-width field per top, and one C-level sum of chain-end planes per
+chain length m and value v of V adds to every top's count of T = m + v
+at once (``_top_counts``), and the orbits' count columns are read off
+those counters.  A lone top is read
 off V by itself (``_top_stats``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
@@ -142,41 +143,20 @@ def _derangements(k: int) -> tuple[Perm, ...]:
 
 
 LOOPED_CODE = 255  # LOOPED in a lookup table V; see ``_top_values``
-MAX_RANKED = 9  # n - 1 entries fix a permutation; up to 9 they fit a word
-
-
-def _words(flat: bytes, n: int, columns: Iterable[int] | None = None) -> bytes:
-    """Each size-n permutation of the flat entries as a zero-padded 8-byte
-    word of its first n - 1 entries, which ``memoryview.cast`` reads as
-    ints: byte j of every word is one strided copy of column ``columns[j]``
-    of the rows (column j by default)."""
-    words = bytearray(len(flat) // n * 8)
-    for j, q in enumerate(range(n - 1) if columns is None else columns):
-        words[j::8] = flat[q::n]
-    return bytes(words)
-
-
-class _Ranks(NamedTuple):
-    """Structures of size n for the rank route, where the rank of a
-    permutation is its lexicographic index in S_n."""
-
-    index: dict[int, int]  # rank by word
-    # By rank: the entry of T(rd(x)) in the flat list 0 (the identity),
-    # then T(e) for e in _derangements(k), k = 2..n-1; 0 for derangements.
-    layout: operator.itemgetter
+MAX_RANKED = 9  # the largest n of the word map: n - 1 entries fit a word up to 9
 
 
 @lru_cache(maxsize=None)
-def _ranks(n: int) -> _Ranks:
-    """``_Ranks`` for size n.  Each x with a fixed point is built from its
-    incorrect positions W and its relative derangement e, by
-    x(W_j) = W_e(j), so its layout entry is that of e: per (k, W), one
-    ``bytes.translate`` of the flat D_k entries by j -> W_j gives the
-    x(W_j), strided into identity words, and their ranks get e's entries."""
-    every = bytes(itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))))
-    index = dict(zip(memoryview(_words(every, n)).cast("Q").tolist(), itertools.count()))
-    entry = [0] * factorial(n)
+def _entries(n: int) -> dict[int, int]:
+    """The entry of rd(x) in the flat list of the lower tables, 0 for the
+    identity and then each e in ``_derangements(k)``, k = 2..n-1, for each
+    x in S_n with a fixed point, keyed by its first n - 1 values packed
+    into a zero-padded 8-byte word that ``memoryview.cast`` reads as an
+    int.  x(W_j) = W_e(j) for its incorrect positions W and e = rd(x): per
+    (k, W), one ``bytes.translate`` of the flat D_k entries by j -> W_j
+    gives the x(W_j), strided into identity words, which get e's entries."""
     identity = bytes(range(1, n)).ljust(8, b"\0")
+    index = {int.from_bytes(identity, sys.byteorder): 0}
     offset = 1
     for k in range(2, n):
         size = len(_derangements(k))
@@ -187,10 +167,9 @@ def _ranks(n: int) -> _Ranks:
             for j, q in enumerate(wrong):
                 if q < n - 1:  # the last entry is not in the word
                     xs[q::8] = moved[j::k]
-            ranks = map(index.__getitem__, memoryview(xs).cast("Q").tolist())
-            _scatter(entry, ranks, range(offset, offset + size))
+            index.update(zip(memoryview(xs).cast("Q").tolist(), range(offset, offset + size)))
         offset += size
-    return _Ranks(index, operator.itemgetter(*entry))
+    return index
 
 
 def _scatter(target: list[int], at: Iterable[int], values: Iterable[int]) -> None:
@@ -200,9 +179,9 @@ def _scatter(target: list[int], at: Iterable[int], values: Iterable[int]) -> Non
 
 def _top_values(n: int, tables: Tables) -> bytes:
     """The lookup table V of a lower prefix, from its complete size < n
-    tables: V[rank of x] = T(rd(x)) for every x in S_n with a fixed point
-    (0 for the identity).  A top-size d whose first step s_n o d locks
-    something then has T(d) = 1 + V(s_n o d).
+    tables, one byte per entry of ``_entries``: V[0] = 0 for the identity,
+    then T(e) for e in ``_derangements(k)``, k = 2..n-1.  A top-size d whose
+    first step x = s_n o d locks something has T(d) = 1 + V(x) = 1 + T(rd(x)).
 
     LOOPED is stored as ``LOOPED_CODE`` (255) and every finite T as itself,
     so the codes cannot collide while every finite T is below 255.  A
@@ -217,8 +196,7 @@ def _top_values(n: int, tables: Tables) -> bytes:
     longest = max(t for t in flat if t != LOOPED)
     if longest >= LOOPED_CODE:
         raise ValueError(f"T = {longest} does not fit below the LOOPED code {LOOPED_CODE}")
-    codes = bytes(LOOPED_CODE if t == LOOPED else t for t in flat)
-    return bytes(_ranks(n).layout(codes))
+    return bytes(LOOPED_CODE if t == LOOPED else t for t in flat)
 
 
 class TopChains(NamedTuple):
@@ -226,8 +204,9 @@ class TopChains(NamedTuple):
 
     The chain of d is x_1 = s o d, x_(i+1) = s o x_i while x_i is deranged;
     it ends at y(d) = x_m, the first composition with a fixed point, after
-    m(d) = m steps.  ``ends[m - 1]`` holds the rank of y(d) for each d with
-    m(d) = m, in no set order; ``loops`` counts the d whose chain repeats.
+    m(d) = m steps.  ``ends[m - 1]`` holds the entry of rd(y(d))
+    (``_entries``) for each d with m(d) = m, in no set order; ``loops``
+    counts the d whose chain repeats.
     Tops of one cycle type are conjugate, and ``_top_chains`` reads all
     their chains off one walk (``_chain_rows``).
     """
@@ -270,7 +249,8 @@ def _top_chains(top: Perm) -> TopChains:
     and the fixed points of p z p^-1 are p(Fix z).  So m(d) = m(e) and
     y(d) = p y(e) p^-1, whose entry at j is p(y(e)(p^-1(j))): per m, one
     ``translate`` by p and n - 1 strided copies of the columns p^-1(j)
-    make the words, and each rank is one ``index`` lookup."""
+    make the words, and the entry of each rd(y(d)) is one ``_entries``
+    lookup."""
     n, cycles, seen = len(top), [], set()
     for start in top:
         if start not in seen:
@@ -284,11 +264,13 @@ def _top_chains(top: Perm) -> TopChains:
     rows, loops = _chain_rows(tuple(map(len, cycles)))
     relabel = bytes.maketrans(bytes(range(1, n + 1)), p)
     columns = list(map(p.index, range(1, n)))  # p^-1(j) - 1 for j < n
-    index = _ranks(n).index
+    index = _entries(n)
     ends = []
-    for flat in rows:
-        words = memoryview(_words(flat.translate(relabel), n, columns)).cast("Q")
-        ends.append(list(map(index.__getitem__, words.tolist())))
+    for row in rows:
+        flat, words = row.translate(relabel), bytearray(len(row) // n * 8)
+        for j, q in enumerate(columns):
+            words[j::8] = flat[q::n]
+        ends.append(list(map(index.__getitem__, memoryview(words).cast("Q").tolist())))
     return TopChains(tuple(ends), loops)
 
 
@@ -299,7 +281,7 @@ def _top_stats(top: Perm, values: bytes) -> Hist:
     chains = _top_chains(top)
     hist: Hist = {LOOPED: chains.loops} if chains.loops else {}
     for m, ends in enumerate(chains.ends, 1):
-        # The trailing rank keeps the getter's result a tuple; it is cut.
+        # The trailing entry keeps the getter's result a tuple; it is cut.
         found = bytes(operator.itemgetter(*ends, 0)(values))[:-1]
         for v in set(found):
             t = LOOPED if v == LOOPED_CODE else m + v
@@ -418,9 +400,8 @@ def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
 class LowerPrefix(NamedTuple):
     """What the strategies of lower prefix s_1..s_(n-1) share: the sum of
     C(n, k) times the T histogram of each size k < n and, in a chunk of
-    several strategies at a ranked size, V."""
+    several strategies up to ``MAX_RANKED``, V."""
 
-    components: tuple[Perm, ...]
     weighted: Counter
     values: bytes | None = None
 
@@ -437,7 +418,7 @@ def _lower_stats(strategy: Strategy, memo: SubgameMemo) -> LowerPrefix:
         if prefix not in memo.hist_cache:
             memo.hist_cache[prefix] = _size_stats(k, strategy, tables)
         weighted.update({t: comb(n, k) * cnt for t, cnt in memo.hist_cache[prefix].items()})
-    return LowerPrefix(strategy.components[:-1], weighted)
+    return LowerPrefix(weighted)
 
 
 # _SELECT[v] translates byte v to 1 and every other byte to 0.
@@ -454,11 +435,11 @@ def _field_code(n: int) -> str:
 
 class TopBlock(NamedTuple):
     """Bit-sliced counters for the recurring tops of a scan chunk: big ints
-    with one fixed-width field per top.  ``planes[m - 1]`` pairs the ranks
-    where some top's chain of length m ends with the plane of each such
-    (m, rank), which has 1 in the field of every top whose chain ends
-    there; ``loops`` holds each top's count of looping chains and ``ones``
-    1 in every field."""
+    with one fixed-width field per top.  ``planes[m - 1]`` pairs the
+    entries of V (``TopChains.ends``) where some top's chain of length m
+    ends with the plane of each such (m, entry), which holds in the field
+    of every top the number of its chains of length m that end there;
+    ``loops`` each top's count of looping chains and ``ones`` 1 in each."""
 
     planes: list[tuple[list[int], list[int]]]
     loops: int
@@ -466,13 +447,15 @@ class TopBlock(NamedTuple):
 
 
 def _top_block(chains: list[TopChains], code: str) -> TopBlock:
-    """The ``TopBlock`` of the tops with these ``chains``.  A rank occurs at
-    most once in a top's ends of one length (y = s^m o d), so each top's
-    ends make a 0/1 row over the ranks, and one strided slice copies it into
-    that top's field of every plane's bytes."""
+    """The ``TopBlock`` of the tops with these ``chains``.  y = s^m o d is
+    injective in d and C(n, k) permutations share one rd of size k, so an
+    entry occurs at most C(n, floor(n / 2)) times in a top's ends of one
+    length, 126 at n = 9: each top's ends make a row of one-byte counts
+    over the entries (a larger count would raise ``ValueError``, not wrap),
+    and one strided slice copies it into that top's field of every plane."""
     width = array(code).itemsize
     stride = width * len(chains)
-    low = 0 if sys.byteorder == "little" else width - 1  # the byte that holds 1
+    low = 0 if sys.byteorder == "little" else width - 1  # the byte that holds a count
     planes = []
     for m in range(max(len(c.ends) for c in chains)):
         support = sorted(set().union(*(c.ends[m] for c in chains if m < len(c.ends))))
@@ -481,7 +464,8 @@ def _top_block(chains: list[TopChains], code: str) -> TopBlock:
         for i, c in enumerate(chains):
             if m < len(c.ends):
                 row = bytearray(len(support))
-                _scatter(row, map(at.__getitem__, c.ends[m]), itertools.repeat(1))
+                counted = Counter(c.ends[m])
+                _scatter(row, map(at.__getitem__, counted), counted.values())
                 flat[i * width + low :: stride] = row
         view = memoryview(flat)
         rows = (view[i : i + stride] for i in range(0, len(flat), stride))
@@ -497,7 +481,7 @@ def _block_counts(block: TopBlock, lower: LowerPrefix) -> dict[int | float, int]
     """By T, the block's counter of the secrets besides the identity that
     take 1 + T guesses under ``lower`` (T = LOOPED: they loop).
 
-    Per chain length m, the planes of the ranks where V = v are added into
+    Per chain length m, the planes of the entries where V = v are added into
     the counter of T = m + v by one C-level ``sum``; the lower histogram
     adds ``weighted[T]`` to every field.  Every addend is nonnegative and a
     field's total over all counters is n! - 1, which its width holds, so no
@@ -551,7 +535,7 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
     The returned dict maps the first-hit round i in {1, 2, 3} to the number
     of secrets solved in exactly three guesses whose first correct position
     appeared on guess i.  The strategy is evaluated as a scan chunk of its
-    own on ``memo`` (``_scan_chunk``), which builds no rank structure;
+    own on ``memo`` (``_scan_chunk``), which builds no word map;
     when ``memo.row`` holds the strategy's row in a scan's columns (an
     in-process ``scan`` sets it), that row is read back instead.
     """
@@ -944,13 +928,13 @@ def _scan_chunk(reps: list[tuple[Perm, ...]], memo: SubgameMemo | None = None) -
 
     Each run of representatives that share a lower prefix is one group: its
     lower sizes and their histogram sum are built once.  A chunk of more
-    than one representative at a ranked size (2 <= n <= ``MAX_RANKED``)
-    also builds each group's lookup table V, counts the tops that occur
-    more than once in ``reps`` under every group at once (``_top_counts``,
-    one set of planes that grows with the number of those tops), reads
-    each group's count columns off those counters (``_group_counts``) and
-    any other top off V.  Each group's V and counters (n! bytes and a few
-    bytes per recurring top and T) are kept until its columns are read.
+    than one representative at 2 <= n <= ``MAX_RANKED`` (``ranked``) also
+    builds each group's lookup table V, counts the tops that occur more
+    than once in ``reps`` under every group at once (``_top_counts``, one
+    set of planes that grows with the number of those tops), reads each
+    group's count columns off those counters (``_group_counts``) and any
+    other top off V.  Each group's V and counters (a byte per lower
+    subgame and a few per recurring top and T) are kept until read.
     Every other chunk (one strategy, n = 1, n > ``MAX_RANKED``) reads each
     top off the lock-set pass, with tables only below n."""
     memo = memo or SubgameMemo()
@@ -1035,7 +1019,7 @@ def scan(
     orbits, reps = _orbit_map(kind, pools)
     if jobs > 1 and len(reps) >= 4 * jobs:
         if 1 < n <= MAX_RANKED:
-            _ranks(n)  # built once here and shared by the forked workers
+            _entries(n)  # built once here and shared by the forked workers
         bounds = [len(reps) * i // jobs for i in range(jobs + 1)]
         # Imported here, where a pool starts: importing multiprocessing costs
         # about 8 ms, which every command would otherwise pay at start-up.

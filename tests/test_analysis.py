@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import factorial, inf
+from math import comb, factorial, inf
 from pathlib import Path
 
 import pytest
@@ -638,6 +638,56 @@ def _lock_round_components(family):
     return [c for pool in strategies.component_pools(n, kind)[1:] for c in pool]
 
 
+def _conjugator(s):
+    """The cycle type of s and p with s = p c p^-1, c the permutation of
+    that type whose cycles are blocks of consecutive values, each shifted
+    by one: p lists the cycles of s, shortest first."""
+    cycles, seen = [], set()
+    for start in range(1, len(s) + 1):
+        if start not in seen:
+            cycle = [start]
+            while s[cycle[-1] - 1] != start:
+                cycle.append(s[cycle[-1] - 1])
+            seen.update(cycle)
+            cycles.append(cycle)
+    cycles.sort(key=len)
+    return tuple(map(len, cycles)), tuple(itertools.chain.from_iterable(cycles))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_first_locks(lengths):
+    """``_first_lock`` of c, the block permutation of cycle type
+    ``lengths``, for every d of D_k in order, one d at a time."""
+    c = []
+    for size in lengths:
+        low = len(c) + 1
+        c += [*range(low + 1, low + size), low]
+    return [_first_lock(tuple(c), d) for d in analysis._derangements(len(c))]
+
+
+def _conjugated_first_locks(s):
+    """``_first_lock(s, d)`` for every d of D_k in order, relabelled in bulk
+    from the per-d walk of its cycle type: with s = p c p^-1 and
+    e = p^-1 d p, s^i o d = p (c^i o e) p^-1, whose fixed points are
+    p(Fix(c^i o e)).  So d locks in the round e does, at the positions p
+    sends e's to.  e(j) = p^-1(d(p(j))): column j of the e's is column p(j)
+    of the d's, translated by p^-1."""
+    k = len(s)
+    lengths, p = _conjugator(s)
+    flat = bytes(itertools.chain.from_iterable(analysis._derangements(k)))
+    columns = bytearray(len(flat))
+    for j in range(k):
+        columns[j::k] = flat[p[j] - 1 :: k]
+    es = zip(*[iter(bytes(columns).translate(bytes.maketrans(bytes(p), bytes(range(1, k + 1)))))] * k)
+    reference = _reference_first_locks(lengths)
+    moved = [0]  # moved[key]: bit p(q + 1) - 1 for each bit q of key
+    for q in range(k):
+        moved += [key | 1 << p[q] - 1 for key in moved]
+    relabel = {lock: lock and (lock[0], moved[lock[1]]) for lock in set(reference)}
+    position = {d: i for i, d in enumerate(analysis._derangements(k))}
+    return list(map(relabel.__getitem__, map(reference.__getitem__, map(position.__getitem__, es))))
+
+
 @pytest.mark.parametrize(
     "family",
     [("cyclic", 7), ("deranged", 6), ("seeded", 8), ("seeded", 9), ("pair-swap", 9)],
@@ -649,7 +699,8 @@ def test_lock_rounds_partition_d_k(family):
     ``_lock_rounds`` lists |D_k| entries, and each d of D_k is in one
     round's group or among the looping d, with round i the first at which
     s^i o d has a fixed point, key its fixed-point set and the round's
-    table that of s^i, as the walk of each d by itself gives them."""
+    table that of s^i, as the walk of each d by itself gives them (walked
+    once per cycle type and relabelled per component)."""
     for s in _lock_round_components(family):
         k = len(s)
         ds = analysis._derangements(k)
@@ -662,7 +713,7 @@ def test_lock_rounds_partition_d_k(family):
         found = dict.fromkeys(looping)
         for i, (_, groups) in enumerate(rounds, 1):
             found.update((d, (i, key)) for key, group in groups.items() for d in group)
-        assert found == {d: _first_lock(s, d) for d in ds}
+        assert found == dict(zip(ds, _conjugated_first_locks(s)))
 
 
 def test_size_pass_keeps_no_top_table():
@@ -703,13 +754,25 @@ def test_decomposition_peak_is_below_the_per_derangement_loop():
 
 
 def _word(p):
-    """The rank route's word of p: its first n - 1 entries as one int."""
+    """The word map's word of p: its first n - 1 entries as one int."""
     return int.from_bytes(bytes(p[:-1]).ljust(8, b"\0"), sys.byteorder)
 
 
+def _reference_entries(n):
+    """The entry of each lower subgame in the flat list of the lower tables
+    of size n: the identity's empty rd at 0, then D_2, ..., D_(n-1) in
+    lexicographic order."""
+    lower = itertools.chain.from_iterable(perms.enumerate_perms(k, "derangements") for k in range(2, n))
+    return dict(zip(itertools.chain([()], lower), itertools.count()))
+
+
+@functools.lru_cache(maxsize=None)
 def _reference_ranks(n):
-    """``analysis._ranks`` built one permutation at a time: each word packed
-    by itself, each x with a fixed point filled in place, x(W_j) = W_e(j)."""
+    """The rank of every permutation (its lexicographic index in S_n) by
+    word, and by rank the entry of rd(x) in the flat list of the lower
+    tables, 0 for the identity and for derangements: built one permutation
+    at a time, each word packed by itself, each x with a fixed point filled
+    in place, x(W_j) = W_e(j)."""
     index = {_word(p): r for r, p in enumerate(itertools.permutations(range(1, n + 1)))}
     entry = [0] * len(index)
     offset = 1
@@ -722,15 +785,17 @@ def _reference_ranks(n):
                     x[q] = targets[v]
                 entry[index[_word(x)]] = i
         offset += len(analysis._derangements(k))
-    return index, entry
+    return index, tuple(entry)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ranks_equal_the_per_permutation_construction(n):
-    ranks = analysis._ranks(n)
+    """``_entries`` is the reference's rank index restricted to the
+    permutations with a fixed point, composed with its entry list."""
     index, entry = _reference_ranks(n)
-    assert list(ranks.index.items()) == list(index.items())
-    assert ranks.layout(range(max(entry) + 1)) == tuple(entry)
+    fixed = [p for p in itertools.permutations(range(1, n + 1)) if not perms.is_derangement(p)]
+    assert len(fixed) == factorial(n) - closedform.derangement_count(n)
+    assert analysis._entries(n) == {_word(p): entry[index[_word(p)]] for p in fixed}
 
 
 def _no_lock_chain(top, d):
@@ -772,7 +837,7 @@ def test_top_chains_are_prefix_independent(n):
     """T(d) = m(d) + V(y(d)) under every lower prefix, with m, y, the loop
     and no-lock counts taken once per top from ``_top_chains``."""
     rng = random.Random(4100 + n)
-    rank = {p: r for r, p in enumerate(perms.enumerate_perms(n))}
+    entry = _reference_entries(n)
     tops = [
         strategies.cyclic_shift(n).top,
         strategies.cyclic_shift_left_top(n).top,
@@ -782,9 +847,9 @@ def test_top_chains_are_prefix_independent(n):
     for top in tops:
         chains = analysis._top_chains(top)
         ends = [_no_lock_chain(top, d) for d in analysis._derangements(n)]
-        reached = sorted((m, rank[y]) for m, y in filter(None, ends))
-        ranked = [(m, y) for m, ends_m in enumerate(chains.ends, 1) for y in ends_m]
-        assert sorted(ranked) == reached
+        reached = sorted((m, entry[engine.relative_derangement(y)]) for m, y in filter(None, ends))
+        found = [(m, y) for m, ends_m in enumerate(chains.ends, 1) for y in ends_m]
+        assert sorted(found) == reached
         assert chains.loops == ends.count(None)
         no_lock = ends.count((2, perms.identity(n)))
         for prefix in _prefixes(n, rng):
@@ -798,11 +863,12 @@ def test_top_chains_are_prefix_independent(n):
                 for d in analysis._derangements(n)
             ]
             for t, end in zip(fresh, ends):
-                if end is None or values[rank[end[1]]] == analysis.LOOPED_CODE:
+                v = None if end is None else values[entry[engine.relative_derangement(end[1])]]
+                if v in (None, analysis.LOOPED_CODE):
                     assert t == LOOPED
                 else:
-                    assert t == end[0] + values[rank[end[1]]]
-            looped = sum(values[y] == analysis.LOOPED_CODE for _, y in ranked)
+                    assert t == end[0] + v
+            looped = sum(values[y] == analysis.LOOPED_CODE for _, y in found)
             assert fresh.count(LOOPED) == chains.loops + looped
             hist = {t: fresh.count(t) for t in fresh}
             assert analysis._top_stats(top, values) == hist
@@ -821,9 +887,9 @@ def _flat_words(flat, n):
 @functools.lru_cache(maxsize=None)
 def _reference_walk_base(n):
     """The flat entries of D_n, and the D_n position of each derangement
-    by rank."""
+    by its rank in ``_reference_ranks``."""
     flat = bytes(itertools.chain.from_iterable(analysis._derangements(n)))
-    index = analysis._ranks(n).index
+    index, _ = _reference_ranks(n)
     return flat, dict(zip(map(index.__getitem__, _flat_words(flat, n)), itertools.count()))
 
 
@@ -832,9 +898,10 @@ def _reference_top_chains(top):
     one ``translate`` composes the top with every d, and a deranged x_i is
     some d' in D_n, so x_(i+1) = top o d' is read off those compositions by
     its position.  A chain that has not ended by the order of the top
-    loops."""
+    loops.  The walk steps by rank, and each chain end is given as the
+    entry of its rd by ``_reference_ranks``."""
     n = len(top)
-    index = analysis._ranks(n).index
+    index, entry = _reference_ranks(n)
     flat, position = _reference_walk_base(n)
     compose = bytes.maketrans(bytes(range(n + 1)), bytes((0,) + top))
     firsts = xs = list(map(index.__getitem__, _flat_words(flat.translate(compose), n)))
@@ -845,14 +912,14 @@ def _reference_top_chains(top):
     while xs and len(ends) < order - 1:
         at = [position.get(x, -1) for x in xs]
         ended = [a < 0 for a in at]
-        ends.append(list(itertools.compress(xs, ended)))
+        ends.append([entry[x] for x in itertools.compress(xs, ended)])
         xs = [firsts[a] for a in at if a >= 0]
     return analysis.TopChains(tuple(ends), len(xs))
 
 
 def _chain_pairs(chains):
-    """The chain ends as sorted ranks by m, which is the sorted (m, rank)
-    pairs, and the loop count."""
+    """The chain ends as sorted entries by m, which is the sorted
+    (m, entry) pairs, and the loop count."""
     return [sorted(ends) for ends in chains.ends], chains.loops
 
 
@@ -861,7 +928,7 @@ def _chain_pairs(chains):
 )
 def test_conjugation_route_equals_the_per_top_walk(kind, n):
     """Every distinct top of the family: the chains read off its cycle
-    type's walk are its own walk's, as (m, rank) pairs and loops."""
+    type's walk are its own walk's, as (m, entry) pairs and loops."""
     for top in strategies.component_pools(n, kind)[-1]:
         assert _chain_pairs(analysis._top_chains(top)) == _chain_pairs(_reference_top_chains(top))
 
@@ -928,6 +995,18 @@ def test_scan_walks_the_chains_once_per_cycle_type(monkeypatch, kind, n, types):
     assert walk.cache_info().currsize == 0
 
 
+def test_planes_hold_counts_up_to_the_middle_binomial():
+    """At n = 9 the right shift's chains of one length end at one entry of V
+    up to C(9, 4) = 126 times, and its plane holds that count in one byte;
+    ``test_counter_route_equals_lone_decomposition`` checks the sums."""
+    chains = analysis._top_chains(strategies.cyclic_shift(9).top)
+    block = analysis._top_block([chains], "I")
+    counts = [plane for _, planes in block.planes for plane in planes]
+    expected = [collections.Counter(ends) for ends in chains.ends]
+    assert counts == [c[e] for c in expected for e in sorted(c)]
+    assert max(counts) == comb(9, 4) == 126
+
+
 def test_memo_row_reads_back_only_its_strategy(monkeypatch):
     """A memo whose ``row`` names a representative reads that strategy's
     results off the columns at the row's index, and evaluates any other
@@ -967,12 +1046,12 @@ def test_memo_row_reads_back_only_its_strategy(monkeypatch):
 
 def test_single_strategy_builds_no_lookup():
     """A lone strategy (``gf``, ``avg``) takes its top size from the
-    lock-set pass: it builds no rank structure, which costs about 0.6 s at
+    lock-set pass: it builds no word map, which costs about 0.1 s at
     n = 9."""
-    analysis._ranks.cache_clear()
+    analysis._entries.cache_clear()
     analysis.generating_function(strategies.cyclic_shift(7))
     analysis.decomposition_stats(strategies.cyclic_shift(7), SubgameMemo())
-    assert analysis._ranks.cache_info().currsize == 0
+    assert analysis._entries.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -257,10 +257,13 @@ def _lookup_prefixes(k):
 @pytest.mark.parametrize("k", range(3, 8))
 def test_top_lookup_is_relative_derangement_then_lower_table(k):
     """V(x) = T(rd(x)) from the lower tables, with V(identity) = 0 and
-    LOOPED as the byte 255, at the lexicographic rank of each of the
-    k! - D_k permutations of size k that have a fixed point."""
-    with_fixed_point = {p for p in perms.enumerate_perms(k) if not perms.is_derangement(p)}
+    LOOPED as the byte 255, at the entry of rd(x) for each of the
+    k! - D_k permutations x of size k that have a fixed point: 0 for the
+    identity, then D_2, ..., D_(k-1) in lexicographic order."""
+    with_fixed_point = [p for p in perms.enumerate_perms(k) if not perms.is_derangement(p)]
     assert len(with_fixed_point) == factorial(k) - closedform.derangement_count(k)
+    lower = itertools.chain.from_iterable(perms.enumerate_perms(size, "derangements") for size in range(2, k))
+    entry = dict(zip(itertools.chain([()], lower), itertools.count()))
     looped = 0
     for s in _lookup_prefixes(k):
         memo = SubgameMemo()
@@ -268,13 +271,12 @@ def test_top_lookup_is_relative_derangement_then_lower_table(k):
             for d in perms.enumerate_perms(size, "derangements"):
                 engine.subgame_guesses(d, s, memo)
         values = analysis._top_values(k, memo.tables_up_to(s, k - 1))
-        assert len(values) == factorial(k)
-        for x, value in zip(perms.enumerate_perms(k), values):
-            if x in with_fixed_point:
-                rd = engine.relative_derangement(x)
-                t = memo.table(s, len(rd))[rd] if rd else 0
-                assert value == (analysis.LOOPED_CODE if t == LOOPED else t)
-                looped += t == LOOPED
+        assert len(values) == 1 + sum(map(closedform.derangement_count, range(2, k)))
+        for x in with_fixed_point:
+            rd = engine.relative_derangement(x)
+            t = memo.table(s, len(rd))[rd] if rd else 0
+            assert values[entry[rd]] == (analysis.LOOPED_CODE if t == LOOPED else t)
+            looped += t == LOOPED
     # Only the swap prefix (k = 5) loops: 4 size-4 subgames at C(5, 4)
     # position sets each.
     assert looped == (20 if k == 5 else 0)
@@ -291,7 +293,7 @@ def test_top_lookup_refuses_a_finite_value_at_the_looped_code():
     """V stores T as one byte with LOOPED as 255, so a finite T of 255 or
     more is refused rather than wrapped or read back as LOOPED."""
     assert analysis._top_values(3, {2: {(2, 1): 254}})[0:2] == bytes([0, 254])
-    assert analysis._top_values(3, {2: {(2, 1): LOOPED}}).count(255) == 3
+    assert analysis._top_values(3, {2: {(2, 1): LOOPED}}).count(255) == 1
     for t in (255, 256, 1000):
         with pytest.raises(ValueError):
             analysis._top_values(3, {2: {(2, 1): t}})

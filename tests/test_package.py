@@ -1,5 +1,7 @@
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import permwordle
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "permwordle"
+README = PACKAGE.parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE)))
@@ -64,3 +67,41 @@ def test_no_unused_imports(path):
             used.update(ast.literal_eval(node.value))
     unused = [name for name in imported if name not in used]
     assert unused == [], f"unused imports in {path.name}: {unused}"
+
+
+_DOC_NAME = re.compile(r"`+([A-Za-z_][\w.]*)`+")
+
+
+def _resolves(obj, dotted):
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + [README], ids=lambda p: p.name
+)
+def test_docs_name_existing_code(path):
+    """Every backticked name that starts with ``_`` or is qualified by a
+    package module (``analysis._entries``) resolves: a qualified name to an
+    attribute of its module, any other to one of the package or of some
+    module in it.  A stale reference to renamed or deleted code fails here."""
+    modules = {
+        p.stem: importlib.import_module(f"permwordle.{p.stem}")
+        for p in PACKAGE.glob("*.py")
+        if not p.stem.startswith("__")
+    }
+    stale = []
+    for name in sorted(set(_DOC_NAME.findall(path.read_text()))):
+        head, _, rest = name.partition(".")
+        if head in modules and rest:
+            found = _resolves(modules[head], rest)
+        elif name.startswith("_"):
+            found = any(_resolves(m, name) for m in [permwordle, *modules.values()])
+        else:
+            continue
+        if not found:
+            stale.append(name)
+    assert stale == [], f"{path.name} names code that does not exist: {stale}"
