@@ -43,6 +43,7 @@ from __future__ import annotations
 import gc
 import itertools
 import operator
+import os
 import sys
 from array import array
 from collections import Counter, deque
@@ -976,6 +977,18 @@ def _scan_chunk(reps: list[tuple[Perm, ...]], memo: SubgameMemo | None = None) -
     return tuple(ts), tuple(counts[t].tobytes() for t in ts), tuple(column.tobytes() for column in rho)
 
 
+def _scan_part(part: tuple[int, list[tuple[Perm, ...]]]) -> Chunk:
+    """``_scan_chunk`` of run i of a pooled scan, after one move to the i-th
+    allowed CPU (the mask is restored at once): forked workers may start on
+    one CPU and stay there (README, "Scales and cost guard")."""
+    i, reps = part
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    return _scan_chunk(reps)
+
+
 def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
     """(gf, rho) of each representative, as ``decomposition_stats`` gives
     them: a view over the columns that ``_scan_chunk`` returns for them (a
@@ -1000,9 +1013,9 @@ def scan(
 
     Only one strategy per symmetry orbit (``_orbit_map``) is evaluated, and
     the summary is read off the orbits' columns.  Workers own private memos,
-    take contiguous runs of the representatives and return their columns as
-    bytes (``_scan_chunk``), which ``_join`` concatenates and checks, so
-    results are identical for any parallelism degree.
+    take contiguous runs of the representatives, a CPU each (``_scan_part``),
+    and return their columns as bytes (``_scan_chunk``), which ``_join``
+    concatenates and checks, so results are identical for any parallelism.
 
     In process (one job, or too few representatives for a pool), every
     representative then passes once, in order, through
@@ -1026,7 +1039,7 @@ def scan(
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_scan_chunk, [reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+            chunks = pool.map(_scan_part, enumerate(reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
         stats = _join(n, chunks)
     else:
         memo = SubgameMemo()

@@ -181,6 +181,24 @@ def test_scan_parallel_matches_serial_over_mirror_orbits(kind):
     assert members == [parallel.stats[orbit] for orbit in parallel.orbits]
 
 
+@pytest.mark.parametrize("i", [0, 1, 5])
+def test_scan_part_moves_to_its_cpu_and_restores_the_mask(monkeypatch, i):
+    """A pooled scan's run i is ``_scan_chunk`` of that run, computed after
+    one move to the i-th allowed CPU (modulo their number); the worker's
+    mask is then the one it had."""
+    reps = _split_reps("cyclic", 5)
+    calls = []
+    if hasattr(os, "sched_setaffinity"):
+        mask = os.sched_getaffinity(0)
+        real = os.sched_setaffinity
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, set(cpus))) or real(pid, cpus))
+    assert analysis._scan_part((i, reps)) == analysis._scan_chunk(reps)
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(mask)
+        assert calls == [(0, {cpus[i % len(cpus)]}), (0, mask)]
+        assert os.sched_getaffinity(0) == mask
+
+
 @pytest.mark.parametrize(
     "kind, n",
     [("cyclic", n) for n in range(1, 7)]
