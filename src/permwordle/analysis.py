@@ -9,30 +9,32 @@ first-hit-class counts, each as one (gf, rho) pair:
   contributes through its relative derangement d, so the count of secrets
   solved in 1 + t guesses is sum over k of C(n, k) * #{d in D_k : T(d) = t}.
 
-The two pairs must agree everywhere; tests enforce it.  The decomposition
-has one evaluator, the scan chunk (``_scan_chunk``), of a family's
-representatives or of one strategy (``decomposition_stats``), and one
-conversion of counts into (gf, rho) (``OrbitColumns.stats``).  Each size
-k is one pass over D_k (``_size_stats``): the rounds of the successor
-walk (``_lock_rounds``) group the derangements by the round and the
-positions they first lock, and each group's successors are relabelled
-and looked up at once.  A chunk's memo is shared by the strategies that agree
-on component prefixes, which makes family-wide sweeps cheap, and a scan
-evaluates one strategy per rotation or mirror orbit (``_orbit_map``,
-checked against the unshortened ``_canonical``).  At the top size a chunk
-of several strategies up to ``MAX_RANKED`` reads T(d) = m(d) + V(y(d)):
-V is the lower prefix's tables as one flat list, read at the entry of
-rd(y), and m, y come from the no-lock chains of the top component
-(``_top_chains``), which serve it under every lower prefix.  Tops of one
-cycle type are conjugate, so their chains are the rounds of one walk over
-D_n per cycle type (``_chain_rows``, the same ``_lock_rounds``),
-relabelled per top and keyed by entry (``_entries``).  The tops that
-recur in a chunk are counted together: big-int counters hold one
-fixed-width field per top, and one C-level sum of chain-end planes per
-chain length m and value v of V adds to every top's count of T = m + v
-at once (``_top_counts``), and the orbits' count columns are read off
-those counters.  A lone top is read
-off V by itself (``_top_stats``).
+The two pairs must agree everywhere; tests enforce it.  The
+decomposition has one evaluator, the scan chunk (``_scan_chunk``) of
+lower prefixes s_1..s_(n-1) times tops s_n, and one conversion of counts
+into (gf, rho) (``OrbitColumns.stats``).  A cyclic or deranged family's
+representatives are its prefixes times one pool of tops, an inductive
+family's one prefix times its tops (``_orbit_map``, checked against the
+unshortened ``_canonical``), and a lone strategy
+(``decomposition_stats``) is 1 x 1.  Each size k is one pass over D_k
+(``_size_stats``): the rounds of the successor walk (``_lock_rounds``)
+group the derangements by the round and the positions they first lock,
+and each group's successors are relabelled and looked up at once.  A
+chunk's memo is shared by its prefixes' strategies, which makes
+family-wide sweeps cheap.  At the top size a chunk of several strategies
+up to ``MAX_RANKED`` reads T(d) = m(d) + V(y(d)): V is the lower
+prefix's tables as one flat list, read at the entry of rd(y), and m, y
+come from the no-lock chains of the top component (``_top_chains``),
+which serve it under every lower prefix.  Tops of one cycle type are
+conjugate, so their chains are the rounds of one walk over D_n per cycle
+type (``_chain_rows``, the same ``_lock_rounds``), relabelled per top
+and keyed by entry (``_entries``).  Under several prefixes a chunk
+counts all its tops together: big-int counters hold one fixed-width
+field per top, one C-level sum of chain-end planes per chain length m
+and value v of V adds to every top's count of T = m + v at once
+(``_top_counts``), and a prefix's counter for T, as bytes, is its count
+column for T.  Under one prefix each top is read off V by itself
+(``_top_stats``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -171,11 +173,6 @@ def _entries(n: int) -> dict[int, int]:
             index.update(zip(memoryview(xs).cast("Q").tolist(), range(offset, offset + size)))
         offset += size
     return index
-
-
-def _scatter(target: list[int], at: Iterable[int], values: Iterable[int]) -> None:
-    """target[i] = v for each (i, v) of ``at`` and ``values``, in C."""
-    deque(map(target.__setitem__, at, values), maxlen=0)
 
 
 def _top_values(n: int, tables: Tables) -> bytes:
@@ -435,8 +432,8 @@ def _field_code(n: int) -> str:
 
 
 class TopBlock(NamedTuple):
-    """Bit-sliced counters for the recurring tops of a scan chunk: big ints
-    with one fixed-width field per top.  ``planes[m - 1]`` pairs the
+    """Bit-sliced counters for the tops of a scan chunk: big ints with one
+    fixed-width field per top.  ``planes[m - 1]`` pairs the
     entries of V (``TopChains.ends``) where some top's chain of length m
     ends with the plane of each such (m, entry), which holds in the field
     of every top the number of its chains of length m that end there;
@@ -466,7 +463,7 @@ def _top_block(chains: list[TopChains], code: str) -> TopBlock:
             if m < len(c.ends):
                 row = bytearray(len(support))
                 counted = Counter(c.ends[m])
-                _scatter(row, map(at.__getitem__, counted), counted.values())
+                deque(map(row.__setitem__, map(at.__getitem__, counted), counted.values()), maxlen=0)
                 flat[i * width + low :: stride] = row
         view = memoryview(flat)
         rows = (view[i : i + stride] for i in range(0, len(flat), stride))
@@ -499,25 +496,17 @@ def _block_counts(block: TopBlock, lower: LowerPrefix) -> dict[int | float, int]
     return counts
 
 
-def _top_counts(
-    n: int, tops: list[Perm], lowers: list[LowerPrefix]
-) -> list[dict[int | float, memoryview]]:
+def _top_counts(n: int, tops: list[Perm], lowers: list[LowerPrefix]) -> list[dict[int | float, bytes]]:
     """Under each of ``lowers``, by T, the counts of the secrets besides the
     identity that take 1 + T guesses (T = LOOPED: they loop), lower sizes
     included, for ``tops``, the top at index i in field i: one ``TopBlock``
     of all the tops, one pass over it per lower prefix, and each counter
-    read out once, as an array of its fields.  No tops give empty
-    counters."""
-    if not tops:
-        return [{} for _ in lowers]
+    read out once, as its bytes, which are that prefix's count column."""
     code = _field_code(n)
     block = _top_block([_top_chains(top) for top in tops], code)
     size = array(code).itemsize * len(tops)
     return [
-        {
-            t: memoryview(c.to_bytes(size, sys.byteorder)).cast(code)
-            for t, c in _block_counts(block, lower).items()
-        }
+        {t: c.to_bytes(size, sys.byteorder) for t, c in _block_counts(block, lower).items()}
         for lower in lowers
     ]
 
@@ -536,7 +525,7 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
     The returned dict maps the first-hit round i in {1, 2, 3} to the number
     of secrets solved in exactly three guesses whose first correct position
     appeared on guess i.  The strategy is evaluated as a scan chunk of its
-    own on ``memo`` (``_scan_chunk``), which builds no word map;
+    own on ``memo`` (``_scan_chunk`` of 1 x 1), which builds no word map;
     when ``memo.row`` holds the strategy's row in a scan's columns (an
     in-process ``scan`` sets it), that row is read back instead.
     """
@@ -544,7 +533,8 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
     if memo.row is not None and memo.row[0] == strategy.components:
         _, columns, index = memo.row
         return columns.stats(index)
-    return _join(strategy.n, [_scan_chunk([strategy.components], memo)]).stats(0)
+    comps = strategy.components
+    return _join(strategy.n, [_scan_chunk([comps[:-1]], [comps[-1]], memo)]).stats(0)
 
 
 def gf_playback(strategy: Strategy) -> Stats:
@@ -853,150 +843,157 @@ def _canonical(strategy: Strategy, kind: str) -> tuple[Perm, ...]:
     return min(comps, tuple(map(strategies.mirror_component, comps)))
 
 
-def _orbit_map(kind: str, pools: list[list[Perm]]) -> tuple[list[int], list[tuple[Perm, ...]]]:
-    """Each member's orbit number and each orbit's representative, as
-    numbering ``_canonical`` of every member in first-seen order gives
-    them, but without a ``Strategy`` or a ``_canonical`` per member.
-    ``pools`` are the family's ``strategies.component_pools``.
+def _orbit_map(kind: str, pools: list[list[Perm]]) -> tuple[list[int], list[tuple[Perm, ...]], list[Perm]]:
+    """Each member's orbit number, and the orbits' representatives as lower
+    prefixes and tops: orbit i is ``prefixes[i // len(tops)] +
+    (tops[i % len(tops)],)``.  Both are what numbering ``_canonical`` of
+    every member in first-seen order gives, but without a ``Strategy`` or a
+    ``_canonical`` per member, and no representative is built.  ``pools``
+    are the family's ``strategies.component_pools``.
 
-    Inductive: tops run in lexicographic order and conjugates of an n-cycle
-    are n-cycles, so an orbit's first member has its least top and is its
-    representative; its n conjugates are computed then, once per orbit.
-    Cyclic and deranged, n >= 3: the representatives are the first half of
-    the enumeration (s_3 = (2, 3, 1)), each its own orbit.  A second-half
-    member's orbit is the index of its mirror, whose mixed-radix digit for
-    each size is the mirror position of the member's digit in that pool;
-    the mirror's s_3 digit is 0.
+    Inductive: one prefix.  Tops run in lexicographic order and conjugates
+    of an n-cycle are n-cycles, so an orbit's first member has its least
+    top and is its representative: the tops are each orbit's first, and its
+    n conjugates are computed then, once per orbit.  Cyclic and deranged,
+    n >= 3: the representatives are the first half of the enumeration
+    (s_3 = (2, 3, 1)), each its own orbit: the product of the pools with
+    ``pools[2][:1]`` in the s_3 slot, whose last factor gives the tops.  A
+    second-half member's orbit is the index of its mirror, whose mixed-radix
+    digit for each size is the mirror position of the member's digit in
+    that pool; the mirror's s_3 digit is 0.
     """
     if kind == "inductive":
-        lower = tuple(pool[0] for pool in pools[:-1])
         orbit_of: dict[Perm, int] = {}
-        reps = []
+        tops: list[Perm] = []
         for top in pools[-1]:
             if top not in orbit_of:
-                orbit_of.update(dict.fromkeys(_rotations(top), len(reps)))
-                reps.append(lower + (top,))
-        return list(map(orbit_of.__getitem__, pools[-1])), reps
+                orbit_of.update(dict.fromkeys(_rotations(top), len(tops)))
+                tops.append(top)
+        prefix = tuple(pool[0] for pool in pools[:-1])
+        return list(map(orbit_of.__getitem__, pools[-1])), [prefix], tops
     if len(pools) < 3:
-        return [0], list(itertools.product(*pools))
-    reps = list(itertools.product(*pools[:2], pools[2][:1], *pools[3:]))
+        return [0], list(itertools.product(*pools[:-1])), pools[-1]
+    slots = [*pools[:2], pools[2][:1], *pools[3:]]
+    prefixes, tops = list(itertools.product(*slots[:-1])), slots[-1]
     mirrors = [0]
     for pool in pools[3:]:
         position = {c: i for i, c in enumerate(pool)}
         table = [position[strategies.mirror_component(c)] for c in pool]
         mirrors = [len(pool) * index + digit for index in mirrors for digit in table]
-    return list(range(len(reps))) + mirrors, reps
+    return list(range(len(prefixes) * len(tops))) + mirrors, prefixes, tops
 
 
-def _group_counts(
-    group: list[tuple[Perm, ...]],
-    lower: LowerPrefix,
-    views: dict[int | float, memoryview],
-    fields: dict[Perm, int],
-    memo: SubgameMemo,
-) -> dict[int | float, list[int]]:
-    """By T, the count column of one group of representatives: a recurring
-    top's entries are read off its field of the counters ``views``, one
-    ``itemgetter`` per T for the whole group, and any other top's entries
-    are lower.weighted plus ``_top_stats`` over V, or without V the
-    lock-set pass."""
-    at = [fields.get(comps[-1]) for comps in group]
-    counted = [i for i, field in enumerate(at) if field is not None]
+def _lone_counts(
+    prefix: tuple[Perm, ...], tops: list[Perm], lower: LowerPrefix, memo: SubgameMemo
+) -> dict[int | float, bytes]:
+    """By T, the count column of the strategies prefix + (top,) as bytes:
+    lower.weighted plus each top's histogram, read off V by itself
+    (``_top_stats``) or, without V, by the lock-set pass."""
+    n = len(tops[0])
     columns: dict[int | float, list[int]] = {}
-    if counted:
-        # The trailing field keeps the getter's result a tuple; the scatter
-        # stops before it.
-        get = operator.itemgetter(*map(at.__getitem__, counted), 0)
-        for t, view in views.items():
-            columns[t] = [0] * len(group)
-            _scatter(columns[t], counted, get(view))
-    for i, field in enumerate(at):
-        if field is None:
-            if lower.values:
-                top = _top_stats(group[i][-1], lower.values)
-            else:  # given the tables below n only, the pass keeps no top table
-                s = Strategy(group[i])
-                top = _size_stats(s.n, s, memo.tables_up_to(s, s.n - 1))
-            for t, count in (lower.weighted + Counter(top)).items():
-                columns.setdefault(t, [0] * len(group))[i] = count
-    return columns
+    for i, top in enumerate(tops):
+        if lower.values:
+            hist = _top_stats(top, lower.values)
+        else:  # given the tables below n only, the pass keeps no top table
+            s = Strategy(prefix + (top,))
+            hist = _size_stats(n, s, memo.tables_up_to(s, n - 1))
+        for t, count in (lower.weighted + Counter(hist)).items():
+            columns.setdefault(t, [0] * len(tops))[i] = count
+    code = _field_code(n)
+    return {t: array(code, column).tobytes() for t, column in columns.items()}
 
 
-def _scan_chunk(reps: list[tuple[Perm, ...]], memo: SubgameMemo | None = None) -> Chunk:
-    """The results of a run of representatives on ``memo`` (a scan worker's
-    or one strategy's): their ``OrbitColumns`` as bytes, a few bytes per
-    orbit and column.
+def _scan_chunk(prefixes: list[tuple[Perm, ...]], tops: list[Perm], memo: SubgameMemo | None = None) -> Chunk:
+    """The results of every strategy prefix + (top,), prefixes outermost,
+    on ``memo`` (a scan worker's or one strategy's): their ``OrbitColumns``
+    as bytes, a few bytes per orbit and column.
 
-    Each run of representatives that share a lower prefix is one group: its
-    lower sizes and their histogram sum are built once.  A chunk of more
-    than one representative at 2 <= n <= ``MAX_RANKED`` (``ranked``) also
-    builds each group's lookup table V, counts the tops that occur more
-    than once in ``reps`` under every group at once (``_top_counts``, one
-    set of planes that grows with the number of those tops), reads each
-    group's count columns off those counters (``_group_counts``) and any
-    other top off V.  Each group's V and counters (a byte per lower
-    subgame and a few per recurring top and T) are kept until read.
-    Every other chunk (one strategy, n = 1, n > ``MAX_RANKED``) reads each
-    top off the lock-set pass, with tables only below n."""
+    Each prefix's lower tables and their histogram sum are built once, and
+    the chunk's shape alone picks the route for the tops.  A chunk of more
+    than one strategy at 2 <= n <= ``MAX_RANKED`` (``ranked``) builds each
+    prefix's lookup table V.  Under several prefixes it counts all its tops
+    under every prefix at once (``_top_counts``, one set of planes that
+    grows with the number of tops), and a prefix's counter for T, as bytes,
+    is its count column for T; the V and counters (a byte per lower
+    subgame, a few per top and T) are kept until then.  Under one prefix
+    it reads each top off V (``_top_stats``).  Every other chunk (one
+    strategy, n = 1, n > ``MAX_RANKED``) reads each top off the lock-set
+    pass, with tables only below n."""
+    if not (prefixes and tops):
+        return (), (), (b"", b"", b"")
     memo = memo or SubgameMemo()
-    n = len(reps[0]) if reps else 0
-    ranked = len(reps) > 1 and 1 < n <= MAX_RANKED
-    groups = [list(group) for _, group in itertools.groupby(reps, key=lambda comps: comps[:-1])]
+    n = len(tops[0])
+    ranked = len(prefixes) * len(tops) > 1 and 1 < n <= MAX_RANKED
     lowers = []
-    for group in groups:
-        first = Strategy(group[0])
+    for prefix in prefixes:
+        first = Strategy(prefix + (tops[0],))
         lower = _lower_stats(first, memo)
         if ranked:
             lower = lower._replace(values=_top_values(n, memo.tables_up_to(first, n - 1)))
         lowers.append(lower)
-    recurring = Counter(comps[-1] for comps in reps) if ranked else {}
-    tops = [top for top, count in recurring.items() if count > 1]
-    fields = dict(zip(tops, itertools.count()))
+    if ranked and len(prefixes) > 1:
+        columns = _top_counts(n, tops, lowers)
+    else:
+        columns = [_lone_counts(prefix, tops, lower, memo) for prefix, lower in zip(prefixes, lowers)]
     code = _field_code(n)
-    counts: dict[int | float, array] = {}
+    zeros = bytes(array(code).itemsize * len(tops))
+    no_lock = array(code, map(_no_lock, tops))
     rho = (array(code), array(code), array(code))
-    for group, lower, views in zip(groups, lowers, _top_counts(n, tops, lowers)):
-        columns = _group_counts(group, lower, views, fields, memo)
-        for t in columns.keys() - counts.keys():
-            counts[t] = array(code, [0]) * len(rho[0])
-        zeros = [0] * len(group)
-        for t, column in counts.items():
-            column.extend(columns.get(t, zeros))
+    for lower, column in zip(lowers, columns):
         # Below the top size guess one hits, so rho1 = weighted[2].  A top-size
         # d with T(d) = 2 is first hit on guess two if its first step locked
         # something, else on guess three: then s o d is deranged and s o s o d
         # = identity (s = s_n), so d = s^-2, a derangement exactly when s o s
         # is one (s o d = s^-1 is).  So rho3 is ``_no_lock`` of the top, and
         # rho2 the rest of a_3.
-        hit_one = [lower.weighted[2]] * len(group)
-        no_lock = [_no_lock(comps[-1]) for comps in group]
-        rho[0].extend(hit_one)
-        rho[1].extend(map(operator.sub, map(operator.sub, columns.get(2, zeros), hit_one), no_lock))
+        hit_one = lower.weighted[2]
+        rho[0].extend(itertools.repeat(hit_one, len(tops)))
+        a3 = array(code, column.get(2, zeros))
+        rho[1].extend(map(operator.sub, map(operator.sub, a3, itertools.repeat(hit_one)), no_lock))
         rho[2].extend(no_lock)
-    ts = sorted(counts)
-    return tuple(ts), tuple(counts[t].tobytes() for t in ts), tuple(column.tobytes() for column in rho)
+    ts = sorted(set().union(*columns))
+    counts = tuple(b"".join(column.get(t, zeros) for column in columns) for t in ts)
+    return tuple(ts), counts, tuple(column.tobytes() for column in rho)
 
 
-def _scan_part(part: tuple[int, list[tuple[Perm, ...]]]) -> Chunk:
-    """``_scan_chunk`` of run i of a pooled scan, after one move to the i-th
-    allowed CPU (the mask is restored at once): forked workers may start on
-    one CPU and stay there (README, "Scales and cost guard")."""
-    i, reps = part
+def _parts(prefixes: list[tuple[Perm, ...]], tops: list[Perm], jobs: int) -> list[tuple[list, list]]:
+    """A pooled scan's chunks, in order: at most ``jobs`` contiguous runs of
+    whole prefixes, each with every top, when there is more than one
+    prefix, and otherwise runs of the one prefix's tops.  No run is empty."""
+    runs = prefixes if len(prefixes) > 1 else tops
+    count = min(jobs, len(runs))
+    cut = [runs[len(runs) * i // count : len(runs) * (i + 1) // count] for i in range(count)]
+    return [(run, tops) if runs is prefixes else (prefixes, run) for run in cut]
+
+
+def _scan_part(part: tuple[int, tuple[list, list]]) -> Chunk:
+    """``_scan_chunk`` of chunk i of a pooled scan, after one move to the
+    i-th allowed CPU (the mask is restored at once): forked workers may
+    start on one CPU and stay there (README, "Scales and cost guard")."""
+    i, (prefixes, tops) = part
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, {cpus[i % len(cpus)]})
         os.sched_setaffinity(0, cpus)
-    return _scan_chunk(reps)
+    return _scan_chunk(prefixes, tops)
 
 
-def _evaluate(reps: list[tuple[Perm, ...]]) -> list[Stats]:
-    """(gf, rho) of each representative, as ``decomposition_stats`` gives
-    them: a view over the columns that ``_scan_chunk`` returns for them (a
-    count column per T, LOOPED included, and rho1, rho2, rho3), after
-    ``_join`` has checked that each orbit's counts and loops add up to
-    n! - 1 and that a_1 = 1.  For the tests and the ``scan-symmetry``
-    check."""
-    columns = _join(len(reps[0]) if reps else 0, [_scan_chunk(reps)])
+def available_cpus() -> int:
+    """CPUs this process may run on, which can be fewer than the machine has."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _evaluate(prefixes: list[tuple[Perm, ...]], tops: list[Perm]) -> list[Stats]:
+    """(gf, rho) of each strategy prefix + (top,), prefixes outermost, as
+    ``decomposition_stats`` gives them: a view over the columns that
+    ``_scan_chunk`` returns for them (a count column per T, LOOPED
+    included, and rho1, rho2, rho3), after ``_join`` has checked that each
+    orbit's counts and loops add up to n! - 1 and that a_1 = 1.  For the
+    tests and the ``scan-symmetry`` check."""
+    columns = _join(len(tops[0]) if tops else 0, [_scan_chunk(prefixes, tops)])
     return [columns.stats(i) for i in range(len(columns))]
 
 
@@ -1011,11 +1008,14 @@ def scan(
     stats, plus the extrema summary.  Oversized scans are refused up front
     with the work estimate.
 
-    Only one strategy per symmetry orbit (``_orbit_map``) is evaluated, and
-    the summary is read off the orbits' columns.  Workers own private memos,
-    take contiguous runs of the representatives, a CPU each (``_scan_part``),
-    and return their columns as bytes (``_scan_chunk``), which ``_join``
-    concatenates and checks, so results are identical for any parallelism.
+    Only one strategy per symmetry orbit is evaluated: the representatives
+    are lower prefixes times tops (``_orbit_map``), and the summary is read
+    off the orbits' columns.  A pool has at most ``jobs`` workers, and no
+    more than ``available_cpus``.  Workers own private memos, take
+    contiguous runs of whole prefixes, or of the tops of a lone prefix
+    (``_parts``), a CPU each (``_scan_part``), and return their columns as
+    bytes (``_scan_chunk``), which ``_join`` concatenates and checks, so
+    results are identical for any parallelism.
 
     In process (one job, or too few representatives for a pool), every
     representative then passes once, in order, through
@@ -1029,21 +1029,23 @@ def scan(
         raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     check_scan_cost(n, kind, max_cost)
     pools = strategies.component_pools(n, kind)
-    orbits, reps = _orbit_map(kind, pools)
-    if jobs > 1 and len(reps) >= 4 * jobs:
+    orbits, prefixes, tops = _orbit_map(kind, pools)
+    jobs = min(jobs, available_cpus())
+    if jobs > 1 and len(prefixes) * len(tops) >= 4 * jobs:
         if 1 < n <= MAX_RANKED:
             _entries(n)  # built once here and shared by the forked workers
-        bounds = [len(reps) * i // jobs for i in range(jobs + 1)]
+        parts = _parts(prefixes, tops, jobs)
         # Imported here, where a pool starts: importing multiprocessing costs
         # about 8 ms, which every command would otherwise pay at start-up.
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_scan_part, enumerate(reps[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+        with multiprocessing.Pool(len(parts)) as pool:
+            chunks = pool.map(_scan_part, enumerate(parts))
         stats = _join(n, chunks)
     else:
         memo = SubgameMemo()
-        stats = _join(n, [_scan_chunk(reps, memo)])
+        stats = _join(n, [_scan_chunk(prefixes, tops, memo)])
+        reps = (prefix + (top,) for prefix in prefixes for top in tops)
         for i, comps in enumerate(reps):
             memo.row = (comps, stats, i)
             decomposition_stats(Strategy(comps), memo)

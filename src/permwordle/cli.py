@@ -461,14 +461,6 @@ def _add_common_output(p, formats=("text", "json")) -> None:
     )
 
 
-def _default_jobs() -> int:
-    """CPUs this process may run on, which can be fewer than the machine has."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
@@ -479,9 +471,9 @@ def _add_work_flags(p) -> None:
     p.add_argument(
         "--jobs",
         type=_positive_int,
-        default=_default_jobs(),
-        help="worker processes for scans, a positive integer "
-        "(results are identical for any value)",
+        default=analysis.available_cpus(),
+        help="worker processes for scans, a positive integer, at most the "
+        "CPUs this process may use (results are identical for any value)",
     )
     p.add_argument(
         "--max-cost",

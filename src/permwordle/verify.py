@@ -20,6 +20,7 @@ Two quirks of the source material are handled explicitly:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -315,8 +316,10 @@ def _scan_symmetry_row(n: int, result: ScanResult):
     ``_canonical`` of each member in first-seen order gives."""
     members = list(strategies.enumerate_strategies(n, result.kind))
     # Every member, not just its orbit's representative, through the same
-    # per-prefix evaluation as the scan.
-    stats = analysis._evaluate([s.components for s in members])
+    # per-prefix evaluation as the scan: the family is its lower prefixes
+    # times its tops.
+    pools = strategies.component_pools(n, result.kind)
+    stats = analysis._evaluate(list(itertools.product(*pools[:-1])), pools[-1])
     canonical: dict = {}
     orbits = [
         canonical.setdefault(analysis._canonical(s, result.kind), len(canonical))

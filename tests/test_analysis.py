@@ -89,17 +89,21 @@ def test_rho_counts_playback_matches_decomposition(n):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_rho_counts_playback_matches_seeded_deranged(n):
-    """Seeded deranged strategies, looping ones included: the (gf, rho) of
-    a lone decomposition, and of the same strategies evaluated as one
-    chunk, equal the oracle's, which plays all n! secrets."""
+    """Seeded deranged strategies, looping ones included: the 36 of six
+    seeded lower prefixes times six seeded tops.  The (gf, rho) of a lone
+    decomposition, and of the same strategies evaluated as one chunk, equal
+    the oracle's, which plays all n! secrets."""
     rng = random.Random(3100 + n)
-    family = [
+    seeded = [
         ((1,), (2, 1)) + tuple(rng.choice(analysis._derangements(k)) for k in range(3, n + 1))
         for _ in range(6)
     ]
+    prefixes, tops = [c[:-1] for c in seeded], [c[-1] for c in seeded]
+    family = [p + (t,) for p in prefixes for t in tops]
     oracle = [analysis.gf_playback(strategies.Strategy(c)) for c in family]
+    assert any(gf.loop_count for gf, _ in oracle) and not all(gf.loop_count for gf, _ in oracle)
     assert [analysis.decomposition_stats(strategies.Strategy(c)) for c in family] == oracle
-    assert analysis._evaluate(family) == oracle
+    assert analysis._evaluate(prefixes, tops) == oracle
 
 
 def test_rho_counts_sum_to_a3():
@@ -186,17 +190,83 @@ def test_scan_part_moves_to_its_cpu_and_restores_the_mask(monkeypatch, i):
     """A pooled scan's run i is ``_scan_chunk`` of that run, computed after
     one move to the i-th allowed CPU (modulo their number); the worker's
     mask is then the one it had."""
-    reps = _split_reps("cyclic", 5)
+    prefixes, tops = _split_reps("cyclic", 5)
     calls = []
     if hasattr(os, "sched_setaffinity"):
         mask = os.sched_getaffinity(0)
         real = os.sched_setaffinity
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, set(cpus))) or real(pid, cpus))
-    assert analysis._scan_part((i, reps)) == analysis._scan_chunk(reps)
+    assert analysis._scan_part((i, (prefixes, tops))) == analysis._scan_chunk(prefixes, tops)
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(mask)
         assert calls == [(0, {cpus[i % len(cpus)]}), (0, mask)]
         assert os.sched_getaffinity(0) == mask
+
+
+def _column_bytes(columns):
+    """Each count column's T and bytes, and the rho columns' bytes."""
+    counts = [(t, column.tobytes()) for t, column in columns.counts.items()]
+    return counts, [column.tobytes() for column in columns.rho]
+
+
+@pytest.mark.parametrize("jobs", [2, 4, 8])
+@pytest.mark.parametrize("kind, n", [("cyclic", 5), ("inductive", 6)])
+def test_parts_hold_whole_prefixes_and_join_to_the_serial_bytes(kind, n, jobs):
+    """A pooled scan's chunks, built and evaluated in-process: cyclic n = 5
+    has 6 lower prefixes, and each chunk is a run of whole prefixes with
+    every top; inductive n = 6 has one, and each chunk is a run of its
+    tops.  No chunk is empty, there are at most ``jobs``, and ``_join`` of
+    their results gives the bytes of the jobs=1 scan."""
+    _, prefixes, tops = analysis._orbit_map(kind, strategies.component_pools(n, kind))
+    parts = analysis._parts(prefixes, tops, jobs)
+    runs = prefixes if kind == "cyclic" else tops
+    assert len(runs) > 1 and len(parts) == min(jobs, len(runs))
+    assert all(run_prefixes and run_tops for run_prefixes, run_tops in parts)
+    if kind == "cyclic":
+        assert len(prefixes) == 6 and all(run_tops == tops for _, run_tops in parts)
+        assert [p for run_prefixes, _ in parts for p in run_prefixes] == prefixes
+    else:
+        assert all(run_prefixes == prefixes for run_prefixes, _ in parts)
+        assert [t for _, run_tops in parts for t in run_tops] == tops
+    joined = analysis._join(n, [analysis._scan_chunk(*part) for part in parts])
+    assert _column_bytes(joined) == _column_bytes(analysis.scan(n, kind, jobs=1).stats)
+
+
+@pytest.mark.parametrize("cpus", [None, 3], ids=["allowed", "three"])
+def test_scan_pool_asks_for_no_more_workers_than_cpus(monkeypatch, cpus):
+    """``jobs`` far above the CPU count (``scan --n 6 --class deranged
+    --jobs 10000`` would have asked for 10,000 workers) starts a pool no
+    larger than the CPUs this process may run on (``available_cpus``, also
+    the CLI's default), and the scan equals its jobs=1 result.  The pool is
+    a fake that records the number of workers asked for and maps
+    in-process: no process starts."""
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, iterable):
+            return list(map(func, iterable))
+
+    if cpus:
+        monkeypatch.setattr(analysis, "available_cpus", lambda: cpus)
+    allowed = analysis.available_cpus()
+    serial = analysis.scan(5, "deranged", jobs=1)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert analysis.scan(5, "deranged", jobs=10_000) == serial
+    if cpus:
+        assert sizes == [3]
+    assert len(sizes) == (allowed > 1)
+    assert all(1 < size <= allowed for size in sizes)
 
 
 @pytest.mark.parametrize(
@@ -207,15 +277,19 @@ def test_scan_part_moves_to_its_cpu_and_restores_the_mask(monkeypatch, i):
 )
 def test_orbit_map_equals_canonical_numbering(kind, n):
     """The orbit map by index arithmetic gives each member the orbit number
-    and each orbit the representative that numbering ``_canonical`` of
-    every member in first-seen order gives."""
+    and each orbit the representative, lower prefix times top in that
+    order, that numbering ``_canonical`` of every member in first-seen
+    order gives."""
     reference = {}
     orbits = [
         reference.setdefault(analysis._canonical(s, kind), len(reference))
         for s in strategies.enumerate_strategies(n, kind)
     ]
     pools = strategies.component_pools(n, kind)
-    assert analysis._orbit_map(kind, pools) == (orbits, list(reference))
+    orbit_of, prefixes, tops = analysis._orbit_map(kind, pools)
+    assert orbit_of == orbits
+    assert [p + (t,) for p in prefixes for t in tops] == list(reference)
+    assert len(set(prefixes)) == len(prefixes) and len(set(tops)) == len(tops)
 
 
 @pytest.mark.parametrize("kind, n", [("cyclic", 5), ("deranged", 4), ("inductive", 6)])
@@ -321,25 +395,39 @@ def test_lookup_route_equals_fresh_decomposition(monkeypatch, kind, n):
             return _orig(*args)
 
         monkeypatch.setattr(analysis, name, counting)
-    family = [s.components for s in strategies.enumerate_strategies(n, kind)]
-    assert analysis._evaluate(family) == [
+    prefixes, tops = _product(kind, n)
+    family = [p + (t,) for p in prefixes for t in tops]
+    assert analysis._evaluate(prefixes, tops) == [
         analysis.decomposition_stats(strategies.Strategy(c)) for c in family
     ]
-    # One V per lower prefix and one chain structure per distinct top,
-    # whether the top recurs (kept) or not; a lone decomposition builds
-    # neither, nor does ``_evaluate`` of a family of one strategy.
+    # One V per lower prefix and one chain structure per top, whether the
+    # tops are counted together (several prefixes) or one by one (one
+    # prefix); a lone decomposition builds neither, nor does ``_evaluate``
+    # of a family of one strategy.
     ranked = n > 1 and len(family) > 1
-    assert built["values"] == ranked * len({c[:-1] for c in family})
-    assert built["chains"] == ranked * len({c[-1] for c in family})
+    assert built["values"] == ranked * len(prefixes)
+    assert built["chains"] == ranked * len(tops)
+
+
+def _product(kind, n):
+    """The lower prefixes and tops of the whole family, whose product it is."""
+    pools = strategies.component_pools(n, kind)
+    return list(itertools.product(*pools[:-1])), pools[-1]
 
 
 def _split_reps(kind, n):
+    """The orbits' representatives, by ``_canonical`` of every member in
+    first-seen order, as their distinct lower prefixes and tops, checked
+    to be their product."""
     reps = []
     for s in strategies.enumerate_strategies(n, kind):
         canonical = analysis._canonical(s, kind)
         if canonical not in reps:
             reps.append(canonical)
-    return reps
+    prefixes = list(dict.fromkeys(c[:-1] for c in reps))
+    tops = list(dict.fromkeys(c[-1] for c in reps))
+    assert [p + (t,) for p in prefixes for t in tops] == reps
+    return prefixes, tops
 
 
 @pytest.mark.parametrize(
@@ -351,35 +439,46 @@ def _split_reps(kind, n):
     ],
 )
 def test_evaluate_is_the_same_over_any_split(monkeypatch, kind, n, ranked):
-    """Workers take contiguous runs of the representatives, which may cut a
-    prefix group and leave a top recurring in one run but not another;
-    every split must give the unsplit result.  Unranked: with
-    ``MAX_RANKED`` below n every chunk takes its tops from the lock-set
-    pass, as scans at n >= 10 do, builds no V, and the whole and split
-    runs must equal the ranked result."""
-    reps = _split_reps(kind, n)
-    whole = analysis._evaluate(reps)
+    """Workers take runs of whole prefixes, or of the tops of a lone
+    prefix; any split of the prefixes, and any split of the tops of one
+    prefix, must give the unsplit result, though a run of one prefix reads
+    its tops off V one by one where the whole counts them together.
+    Unranked: with ``MAX_RANKED`` below n every chunk takes its tops from
+    the lock-set pass, as scans at n >= 10 do, builds no V, and the whole
+    and split runs must equal the ranked result."""
+    prefixes, tops = _split_reps(kind, n)
+    whole = analysis._evaluate(prefixes, tops)
     if not ranked:
         monkeypatch.setattr(analysis, "MAX_RANKED", n - 1)
         monkeypatch.setattr(analysis, "_top_values", None)  # any call fails
-        assert analysis._evaluate(reps) == whole
-    group = sum(1 for c in reps if c[:-1] == reps[0][:-1])
+        assert analysis._evaluate(prefixes, tops) == whole
     rng = random.Random(5700 + n)
-    cuts = {0, 1, group // 2, group, len(reps) - 1, len(reps)}
-    cuts |= {rng.randrange(len(reps)) for _ in range(3)}
-    for cut in sorted(cuts):
-        assert analysis._evaluate(reps[:cut]) + analysis._evaluate(reps[cut:]) == whole
-    bounds = sorted(rng.sample(range(1, len(reps)), 4))
-    chunks = [reps[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(reps)])]
-    assert [r for chunk in chunks for r in analysis._evaluate(chunk)] == whole
+
+    def cuts(size):
+        return sorted({0, 1, size // 2, size - 1, size} | {rng.randrange(size) for _ in range(3)})
+
+    for cut in cuts(len(prefixes)):
+        split = analysis._evaluate(prefixes[:cut], tops) + analysis._evaluate(prefixes[cut:], tops)
+        assert split == whole
+    for i in sorted({0, rng.randrange(len(prefixes)), len(prefixes) - 1}):
+        row = whole[i * len(tops) : (i + 1) * len(tops)]
+        for cut in cuts(len(tops)):
+            split = analysis._evaluate(prefixes[i : i + 1], tops[:cut])
+            assert split + analysis._evaluate(prefixes[i : i + 1], tops[cut:]) == row
+        bounds = sorted(rng.sample(range(1, len(tops)), 4))
+        runs = [tops[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(tops)])]
+        assert [r for run in runs for r in analysis._evaluate(prefixes[i : i + 1], run)] == row
+    if len(prefixes) > 4:
+        bounds = sorted(rng.sample(range(1, len(prefixes)), 4))
+        runs = [prefixes[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(prefixes)])]
+        assert [r for run in runs for r in analysis._evaluate(run, tops)] == whole
 
 
 @functools.lru_cache(maxsize=None)
 def _cyclic_6_chunks():
     """The two worker chunks of a jobs=2 scan of cyclic n = 6."""
-    _, reps = analysis._orbit_map("cyclic", strategies.component_pools(6, "cyclic"))
-    half = len(reps) // 2
-    return tuple(analysis._scan_chunk(chunk) for chunk in (reps[:half], reps[half:]))
+    _, prefixes, tops = analysis._orbit_map("cyclic", strategies.component_pools(6, "cyclic"))
+    return tuple(analysis._scan_chunk(*part) for part in analysis._parts(prefixes, tops, 2))
 
 
 def _objects(value):
@@ -434,7 +533,7 @@ def test_join_refuses_broken_columns():
     n! - 1, and no secret besides the identity takes one guess (a_1 = 1).
     A chunk with one count changed by 1 is refused with ``ValueError``, also
     under ``python -O``, which strips ``assert``."""
-    chunk = analysis._scan_chunk(_split_reps("cyclic", 5))
+    chunk = analysis._scan_chunk(*_split_reps("cyclic", 5))
     orbits = len(analysis._join(5, [chunk]))
 
     def bump(column):
@@ -475,14 +574,16 @@ def test_join_refuses_broken_columns():
         ("deranged", 5, None),
         ("deranged", 5, "I"),
         ("cyclic", 4, "I"),
+        ("inductive", 5, None),
     ],
 )
 def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, code):
-    """``_evaluate`` counts every top that recurs in its chunk with the
-    bit-sliced counters of ``_top_counts``, all in one ``TopBlock``; each
-    strategy's (gf, rho) must equal its lone decomposition, with 2- or
-    4-byte fields.  Below n = 4 no top recurs, and every top goes through
-    ``_top_stats``.  (The other sizes to 5 are compared by
+    """``_evaluate`` of a chunk of several lower prefixes counts all its
+    tops with the bit-sliced counters of ``_top_counts``, in one
+    ``TopBlock``; each strategy's (gf, rho) must equal its lone
+    decomposition, with 2- or 4-byte fields.  A chunk of one prefix (the
+    whole family below n = 4, and an inductive one) reads every top off V
+    with ``_top_stats``.  (The other sizes to 5 are compared by
     ``test_lookup_route_equals_fresh_decomposition``.)"""
     if code:
         monkeypatch.setattr(analysis, "_field_code", lambda n: code)
@@ -499,15 +600,15 @@ def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, code):
 
     monkeypatch.setattr(analysis, "_top_block", block)
     monkeypatch.setattr(analysis, "_top_stats", single)
-    family = [s.components for s in strategies.enumerate_strategies(n, kind)]
-    assert analysis._evaluate(family) == [
+    prefixes, tops = _product(kind, n)
+    family = [p + (t,) for p in prefixes for t in tops]
+    assert analysis._evaluate(prefixes, tops) == [
         analysis.decomposition_stats(strategies.Strategy(c)) for c in family
     ]
-    tops = collections.Counter(c[-1] for c in family)
-    recurring = sum(count > 1 for count in tops.values())
-    assert recurring == (n > 3) * len(tops)
-    assert blocks == ([recurring] if recurring else [])
-    assert len(lone) == (1 < n < 4) * len(tops)
+    counted = len(prefixes) > 1
+    assert counted == (kind != "inductive" and n > 3)
+    assert blocks == ([len(tops)] if counted else [])
+    assert lone == ([] if counted else tops)
 
 
 def test_field_width_holds_every_total():
@@ -542,7 +643,8 @@ def test_scan_keeps_the_traced_entry_points(monkeypatch, kind):
     monkeypatch.setattr(analysis, "SubgameMemo", RecordingMemo)
     monkeypatch.setattr(analysis, "decomposition_stats", recording)
     analysis.scan(5, kind, jobs=1)
-    _, reps = analysis._orbit_map(kind, strategies.component_pools(5, kind))
+    _, prefixes, tops = analysis._orbit_map(kind, strategies.component_pools(5, kind))
+    reps = [p + (t,) for p in prefixes for t in tops]
     assert [comps for comps, _ in calls] == reps
     assert len(memos) == 1 and all(memo is memos[0] for _, memo in calls)
     for comps in reps:
@@ -1033,8 +1135,8 @@ def test_memo_row_reads_back_only_its_strategy(monkeypatch):
     right = strategies.cyclic_shift(6).components[:-1]
     other = ((1,), (2, 1), (3, 1, 2), (2, 3, 4, 1), (2, 3, 4, 5, 1))
     tops = [(2, 3, 4, 5, 6, 1), (6, 1, 2, 3, 4, 5), (3, 1, 5, 2, 6, 4)]
-    reps = [right + (t,) for t in tops] + [other + (t,) for t in tops[:2]]
-    columns = analysis._join(6, [analysis._scan_chunk(reps)])
+    reps = [p + (t,) for p in (right, other) for t in tops]
+    columns = analysis._join(6, [analysis._scan_chunk([right, other], tops)])
     memo = SubgameMemo()
     assert memo.row is None
     memo.row = (reps[1], columns, 1)
@@ -1043,7 +1145,7 @@ def test_memo_row_reads_back_only_its_strategy(monkeypatch):
     assert columns.stats(3) != columns.stats(1)
     memo.row = (reps[1], columns, 3)
     assert analysis.decomposition_stats(strategies.Strategy(reps[1]), memo) == columns.stats(3)
-    for i in (0, 2, 3, 4):
+    for i in (0, 2, 3, 4, 5):
         lone = strategies.Strategy(reps[i])
         assert analysis.decomposition_stats(lone, memo) == columns.stats(i)
     assert memo.row == (reps[1], columns, 3)
@@ -1056,7 +1158,7 @@ def test_memo_row_reads_back_only_its_strategy(monkeypatch):
         return decompose(strategy, memo)
 
     monkeypatch.setattr(analysis, "decomposition_stats", counting)
-    assert [columns.stats(i) for i in range(len(reps))] == analysis._evaluate(reps)
+    assert [columns.stats(i) for i in range(len(reps))] == analysis._evaluate([right, other], tops)
     assert calls == []
     analysis.decomposition_stats(strategies.Strategy(reps[0]))
     assert calls == [reps[0]]

@@ -158,7 +158,7 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv):
 # (cyclic n = 6 is the benchmark's pin), the JSON and text digests from the
 # writers that built one row object per member; every route to a scan line
 # must keep these bytes.  Cyclic n = 6 runs two workers, each with its own
-# memo, so its tops recur and their cached no-lock chains are read.
+# memo, and each counts the 120 tops under its 72 lower prefixes together.
 # Deranged n = 5 has looping strategies: a null average in JSON, inf in
 # text and empty average columns in CSV.
 SCAN_SHA256 = {

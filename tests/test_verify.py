@@ -204,7 +204,8 @@ def test_scan_symmetry_fails_on_a_wrong_orbit_map(monkeypatch):
         if kind == "inductive":
             n = len(pools)
             members = strategies.count_strategies(n, kind)
-            return [0] * members, [strategies.cyclic_shift(n).components]
+            right = strategies.cyclic_shift(n).components
+            return [0] * members, [right[:-1]], [right[-1]]
         return orbit_map(kind, pools)
 
     monkeypatch.setattr(analysis, "_orbit_map", wrong)
