@@ -4,7 +4,11 @@ classes, and exhaustive scans over strategy families.
 Two independent routes produce a strategy's generating function and its
 first-hit-class counts, each as one (gf, rho) pair:
 
-* direct playback of all n! secrets (``gf_playback``), the oracle, and
+* direct playback of all n! secrets (``gf_playback``), the oracle: the
+  games are played together, one round at a time, as rows of
+  z = secret^-1 o guess grouped by their correct positions, each group
+  moved by the strategy's move rule (``engine._mover``) with no
+  successor, table or memo (``_play_block``), and
 * the subgame decomposition: a secret with k incorrect positions
   contributes through its relative derangement d, so the count of secrets
   solved in 1 + t guesses is sum over k of C(n, k) * #{d in D_k : T(d) = t}.
@@ -46,6 +50,7 @@ import gc
 import itertools
 import operator
 import os
+import struct
 import sys
 from array import array
 from collections import Counter, deque
@@ -53,11 +58,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from math import comb, factorial, gcd, inf
+from math import comb, factorial, gcd, inf, lcm
 from typing import Iterable, NamedTuple
 
 from . import closedform, perms, strategies
-from .engine import LOOPED, SubgameMemo, Tables, _game
+from .engine import LOOPED, SubgameMemo, Tables, _mover
 from .perms import Perm
 from .strategies import Strategy
 
@@ -301,20 +306,22 @@ def _lock_bits(k: int) -> tuple[bytes, ...]:
     return tuple(map(bytes, tables))
 
 
-def _lock_keys(rows: bytes, k: int) -> memoryview:
+def _lock_keys(rows: bytes, k: int, stride: int | None = None) -> memoryview:
     """The fixed points of each size-k permutation in the flat ``rows`` as
-    one int key with bit q set when position q + 1 is fixed.  Each column
-    is one ``translate`` to its bit; the columns of 8 positions are OR-ed
-    into one byte plane as big ints, and the planes are interleaved into a
-    1-, 2- or 4-byte key per row."""
-    count = len(rows) // k
+    one int key with bit q set when position q + 1 is fixed.  A row is
+    ``stride`` bytes (k unless given), the permutation its first k.  Each
+    column is one ``translate`` to its bit; the columns of 8 positions are
+    OR-ed into one byte plane as big ints, and the planes are interleaved
+    into a 1-, 2- or 4-byte key per row."""
+    stride = stride or k
+    count = len(rows) // stride
     code, width = ("B", 1) if k <= 8 else ("H", 2) if k <= 16 else ("I", 4)
     bits = _lock_bits(k)
     keys = bytearray(width * count)
     for low in range(0, k, 8):
         plane = 0
         for q in range(low, min(low + 8, k)):
-            plane |= int.from_bytes(rows[q::k].translate(bits[q]), "little")
+            plane |= int.from_bytes(rows[q::stride].translate(bits[q]), "little")
         byte = low // 8 if sys.byteorder == "little" else width - 1 - low // 8
         keys[byte::width] = plane.to_bytes(count, "little")
     return memoryview(keys).cast(code)
@@ -537,24 +544,126 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
     return _join(strategy.n, [_scan_chunk([comps[:-1]], [comps[-1]], memo)]).stats(0)
 
 
+PLAYBACK_BLOCK = 20_160  # 8!/2: the secrets one playback keeps in flight at once
+_SAME = b"\xff" + bytes(255)  # translates a zero difference byte to 0xFF, every other to 0
+
+
+def _order(p: Perm) -> int:
+    """The order of p: the lcm of its cycle lengths."""
+    order, seen = 1, set()
+    for start in p:
+        v, length = start, 0
+        while v not in seen:
+            seen.add(v)
+            v, length = p[v - 1], length + 1
+        order = lcm(order, length or 1)
+    return order
+
+
+def _stayed(keys: memoryview, last: bytes) -> int:
+    """As a big int, 0xFF in the byte of each row whose key equals its key
+    of the round before (``last``, laid out as ``keys``), 0 in the others:
+    one XOR of the keys, its bytes of one row OR-ed into one, and one
+    ``translate``."""
+    size, count = keys.itemsize, len(keys)
+    diff = (int.from_bytes(keys, "little") ^ int.from_bytes(last, "little")).to_bytes(size * count, "little")
+    changed = 0
+    for j in range(size):
+        changed |= int.from_bytes(diff[j::size], "little")
+    return int.from_bytes(changed.to_bytes(count, "little").translate(_SAME), "little")
+
+
+def _play_block(strategy: Strategy, limits: list[int], block: bytes, counts: Counter, rho: dict[int, int]) -> None:
+    """Play the game of each permutation z of the flat ``block`` to its
+    end, with z as secret^-1, adding the games by rounds to ``counts``
+    (LOOPED: those that loop) and the first-hit rounds of those solved in
+    three to ``rho``.
+
+    A row of n + 2 bytes is z = secret^-1 o guess, which is fixed exactly
+    where the guess is correct (in round one, with the identity guess, the
+    permutation from ``block``), then a counter of the rounds spent under
+    the current correct set and the first hit's round (0 before it; kept
+    up to round 2, all that ``rho`` reads).  Each round keys every row by
+    its correct positions (``_lock_keys``), counts a counter up where the
+    key is the one of the round before and restarts it at 1 elsewhere, and
+    groups the rows by key with one C-level ``map``.  A full key is solved.
+    The move of a key is the mover of ``engine._mover``: the next guess is
+    guess o move, so z becomes z o move, n strided column copies for the
+    whole group.  The move's order is that of the component it applies
+    (``limits[k - 1]`` is one more), and under one correct set only the
+    move acts, so a row whose counter reaches the limit has come back to
+    the guess it had when that set appeared: exactly where ``engine._game``
+    sees a guess repeat, it loops."""
+    n = strategy.n
+    width, full = n + 2, (1 << n) - 1
+    split = struct.Struct(f"{width}s").iter_unpack
+    moves: dict[int, tuple[int, ...]] = {}
+    rows = bytearray(len(block) // n * width)
+    for q in range(n):
+        rows[q::width] = block[q::n]
+    last = None  # the keys of the round before; key 0 before round one
+    r = 0
+    while rows:
+        r += 1
+        count = len(rows) // width
+        keys = _lock_keys(rows, n, width)
+        counters = int.from_bytes(rows[n::width], "little") & _stayed(keys, last or bytes(keys.nbytes))
+        rows[n::width] = (counters + int.from_bytes(b"\1" * count, "little")).to_bytes(count, "little")
+        groups: dict[int, list[bytes]] = {key: [] for key in set(keys)}
+        deque(map(list.append, map(groups.__getitem__, keys), map(operator.itemgetter(0), split(rows))), maxlen=0)
+        solved = groups.pop(full, None)
+        if solved:
+            counts[r] += len(solved)
+            if r == 3:
+                hits = b"".join(solved)[n + 1 :: width]
+                rho[1] += hits.count(1)
+                rho[2] += hits.count(2)
+                rho[3] += hits.count(0)
+        first = bytes([r]) + _IDENTITY[1:]  # translates "no hit yet" to this round
+        parts, lasts = [], []
+        for key, group in groups.items():
+            limit = limits[n - key.bit_count() - 1]
+            flat = b"".join(group)
+            looped = flat[n::width].count(limit)
+            if looped:
+                counts[LOOPED] += looped
+                group = list(itertools.compress(group, flat[n::width].translate(bytes(map(limit.__ne__, range(256))))))
+                flat = b"".join(group)
+            if key not in moves:
+                mask = tuple(not key >> q & 1 for q in range(n))
+                moves[key] = (*_mover(strategy, mask)(range(n)), n, n + 1)
+            moved = bytearray(len(flat))
+            for i, q in enumerate(moves[key]):
+                moved[i::width] = flat[q::width]
+            if key and r < 3:
+                moved[n + 1 :: width] = moved[n + 1 :: width].translate(first)
+            parts.append(moved)
+            lasts.append(key.to_bytes(keys.itemsize, sys.byteorder) * len(group))
+        rows, last = bytearray(b"".join(parts)), b"".join(lasts)
+
+
 def gf_playback(strategy: Strategy) -> Stats:
     """Generating function and first-hit-class counts, as from
-    ``decomposition_stats``, by playing out every one of the n! secrets
-    (permutations by construction, so the game loop runs unvalidated)."""
+    ``decomposition_stats``, by playing out every one of the n! secrets.
+
+    The secrets are played together, one round at a time, in blocks of
+    ``PLAYBACK_BLOCK`` (``_play_block``), with the guess-update rule of
+    ``engine._mover`` and nothing of the decomposition.  A block is
+    permutations z from S_n, each played as the secret z^-1, and the blocks
+    together are S_n.  A game's round counter is one byte, so a strategy
+    with a component of order 255 or more is refused with ``ValueError``.
+    """
     n = strategy.n
-    coeffs: dict[int, int] = {}
-    loops = 0
+    limits = [_order(c) + 1 for c in strategy.components]
+    if max(limits) > 255:
+        raise ValueError(f"a component of order {max(limits) - 1} does not fit the one-byte round counter")
+    counts: Counter = Counter()
     rho = {1: 0, 2: 0, 3: 0}
-    for secret in perms.enumerate_perms(n):
-        guesses, first_hit, solved = _game(secret, strategy)
-        if not solved:
-            loops += 1
-        else:
-            r = len(guesses)
-            coeffs[r] = coeffs.get(r, 0) + 1
-            if r == 3:
-                rho[first_hit] += 1
-    return GFCoefficients(n, coeffs, loops), rho
+    secrets = itertools.permutations(range(1, n + 1))
+    while block := bytes(itertools.chain.from_iterable(itertools.islice(secrets, PLAYBACK_BLOCK))):
+        _play_block(strategy, limits, block, counts, rho)
+    loops = counts.pop(LOOPED, 0)
+    return GFCoefficients(n, dict(sorted(counts.items())), loops), rho
 
 
 def generating_function(strategy: Strategy, method: str = "decomposition") -> GFCoefficients:

@@ -106,6 +106,83 @@ def test_rho_counts_playback_matches_seeded_deranged(n):
     assert analysis._evaluate(prefixes, tops) == oracle
 
 
+def _solve_rounds_tally(s):
+    """(gf, rho) tallied one secret at a time from ``engine.solve_rounds``:
+    the rounds of each solved game, its first hit when that is three, and
+    the games that loop."""
+    counts, loops, rho = collections.Counter(), 0, {1: 0, 2: 0, 3: 0}
+    for secret in itertools.permutations(range(1, s.n + 1)):
+        rounds, first_hit = engine.solve_rounds(secret, s)
+        if rounds == LOOPED:
+            loops += 1
+        else:
+            counts[rounds] += 1
+            if rounds == 3:
+                rho[first_hit] += 1
+    return GFCoefficients(s.n, dict(counts), loops), rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gf_playback_equals_a_solve_rounds_tally_deranged(n):
+    """Every deranged strategy up to n = 5, n = 1 and n = 2 included."""
+    family = list(strategies.enumerate_strategies(n, "deranged"))
+    assert family
+    for s in family:
+        assert analysis.gf_playback(s) == _solve_rounds_tally(s)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_gf_playback_equals_a_solve_rounds_tally_seeded(n):
+    rng = random.Random(2700 + n)
+    family = [
+        strategies.Strategy(((1,), (2, 1)) + tuple(rng.choice(analysis._derangements(k)) for k in range(3, n + 1)))
+        for _ in range(8)
+    ]
+    tallies = [_solve_rounds_tally(s) for s in family]
+    assert any(gf.loop_count for gf, _ in tallies) and not all(gf.loop_count for gf, _ in tallies)
+    assert [analysis.gf_playback(s) for s in family] == tallies
+
+
+def test_gf_playback_equals_a_solve_rounds_tally_over_several_blocks():
+    assert factorial(8) > analysis.PLAYBACK_BLOCK
+    cs8 = strategies.cyclic_shift(8)
+    assert analysis.gf_playback(cs8) == _solve_rounds_tally(cs8)
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_row_keys_are_each_rows_fixed_points(n):
+    """Two-byte keys of rows of n + 2 bytes, whose last two bytes may
+    equal any position, against the fixed points of each row; and
+    ``_stayed`` against a key-by-key comparison."""
+    rng = random.Random(n)
+    zs = []
+    for _ in range(300):
+        z = list(range(1, n + 1))
+        moved = rng.sample(range(n), rng.choice([0, 2, 3, n // 2, n]))
+        values = [z[q] for q in moved]
+        rng.shuffle(values)
+        for q, v in zip(moved, values):
+            z[q] = v
+        zs.append(z)
+    rows = bytes(itertools.chain.from_iterable(z + [rng.randrange(256), rng.randrange(n + 3)] for z in zs))
+    keys = analysis._lock_keys(rows, n, n + 2)
+    expected = [sum(1 << q for q in range(n) if z[q] == q + 1) for z in zs]
+    assert keys.itemsize == 2 and list(keys) == expected
+    last = [key if rng.random() < 0.5 else rng.randrange(1 << n) for key in expected]
+    stayed = analysis._stayed(keys, array.array("H", last).tobytes())
+    assert stayed.to_bytes(len(zs), "little") == bytes(255 if a == b else 0 for a, b in zip(expected, last))
+
+
+def test_gf_playback_refuses_a_component_beyond_the_round_counter():
+    top = []
+    for size in (3, 4, 5, 7):  # cycle type 3 + 4 + 5 + 7: order 420
+        low = len(top) + 1
+        top += [*range(low + 1, low + size), low]
+    s = strategies.Strategy(strategies.cyclic_shift(18).components + (tuple(top),))
+    with pytest.raises(ValueError, match="order 420"):
+        analysis.gf_playback(s)
+
+
 def test_rho_counts_sum_to_a3():
     for s in strategies.enumerate_strategies(5, "inductive"):
         gf, rho = analysis.decomposition_stats(s)

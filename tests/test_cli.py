@@ -51,6 +51,21 @@ def test_gf_playback_method_agrees(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("strategy", ["cs", "1;2,1;2,3,1;2,1,4,3;2,3,4,5,1;2,3,4,5,6,1"])
+def test_gf_playback_output_is_byte_identical_in_every_format(capsys, strategy):
+    """Playback and decomposition print the same bytes in text, json and
+    csv, for cs and for a deranged strategy that loops (the length-4
+    swap component), whose text ends in a nonzero ``loops:`` line."""
+    outputs = {}
+    for fmt in ("text", "json", "csv"):
+        argv = ["gf", "--strategy", strategy, "--n", "6", "--format", fmt]
+        _, outputs[fmt] = run(capsys, *argv)
+        _, by_playback = run(capsys, *argv, "--method", "playback")
+        assert by_playback == outputs[fmt]
+    loops = outputs["text"].splitlines()[-1]
+    assert loops.startswith("loops: ") and (loops == "loops: 0") == (strategy == "cs")
+
+
 def test_play_solved_exit_zero(capsys):
     code, out = run(capsys, "play", "--secret", "4,1,2,3", "--strategy", "cs")
     assert code == 0
