@@ -627,7 +627,8 @@ def _play_block(strategy: Strategy, limits: list[int], block: bytes, counts: Cou
             looped = flat[n::width].count(limit)
             if looped:
                 counts[LOOPED] += looped
-                group = list(itertools.compress(group, flat[n::width].translate(bytes(map(limit.__ne__, range(256))))))
+                keep = flat[n::width].translate(bytes(map(limit.__ne__, range(256))))  # 0 where it loops
+                group = list(itertools.compress(group, keep))
                 flat = b"".join(group)
             if key not in moves:
                 mask = tuple(not key >> q & 1 for q in range(n))
