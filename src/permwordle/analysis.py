@@ -243,6 +243,20 @@ def _chain_rows(lengths: tuple[int, ...]) -> tuple[tuple[bytes, ...], int]:
     return rows, len(looping)
 
 
+def _cycles(p: Perm) -> list[list[int]]:
+    """The cycles of p (p(a) = p[a - 1]), each from the first of its values
+    that p lists, in that order; a fixed point is a cycle of one."""
+    cycles, seen = [], set()
+    for start in p:
+        if start not in seen:
+            cycle = [start]
+            while p[cycle[-1] - 1] != start:
+                cycle.append(p[cycle[-1] - 1])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
 def _top_chains(top: Perm) -> TopChains:
     """``TopChains`` of ``top``, read off the walk of its cycle type.
 
@@ -254,15 +268,7 @@ def _top_chains(top: Perm) -> TopChains:
     ``translate`` by p and n - 1 strided copies of the columns p^-1(j)
     make the words, and the entry of each rd(y(d)) is one ``_entries``
     lookup."""
-    n, cycles, seen = len(top), [], set()
-    for start in top:
-        if start not in seen:
-            cycle = [start]
-            while top[cycle[-1] - 1] != start:
-                cycle.append(top[cycle[-1] - 1])
-            seen.update(cycle)
-            cycles.append(cycle)
-    cycles.sort(key=len)
+    n, cycles = len(top), sorted(_cycles(top), key=len)
     p = bytes(itertools.chain.from_iterable(cycles))  # p(a) = p[a - 1]
     rows, loops = _chain_rows(tuple(map(len, cycles)))
     relabel = bytes.maketrans(bytes(range(1, n + 1)), p)
@@ -550,14 +556,7 @@ _SAME = b"\xff" + bytes(255)  # translates a zero difference byte to 0xFF, every
 
 def _order(p: Perm) -> int:
     """The order of p: the lcm of its cycle lengths."""
-    order, seen = 1, set()
-    for start in p:
-        v, length = start, 0
-        while v not in seen:
-            seen.add(v)
-            v, length = p[v - 1], length + 1
-        order = lcm(order, length or 1)
-    return order
+    return lcm(*map(len, _cycles(p)))
 
 
 def _stayed(keys: memoryview, last: bytes) -> int:
@@ -694,13 +693,17 @@ def average_j2_over_derangements(component: Perm) -> Fraction:
     comp = perms.validate(component)
     if not perms.is_derangement(comp):
         raise ValueError("component must be a derangement")
-    guess = perms.invert(comp)
-    total = 0
-    count = 0
-    for d in perms.enumerate_perms(len(comp), "derangements"):
-        total += sum(1 for a, b in zip(guess, d) if a == b)
-        count += 1
-    return Fraction(total, count)
+    counts = _second_guess_counts(len(comp))  # guess two g hits d at q + 1 where g(q + 1) = d(q + 1)
+    hits = sum(map(operator.getitem, counts, perms.invert(comp)))
+    return Fraction(hits, sum(counts[0]))
+
+
+@lru_cache(maxsize=None)
+def _second_guess_counts(n: int) -> tuple[tuple[int, ...], ...]:
+    """``counts[q][v]``, the number of d in D_n with d(q + 1) = v, v = 0..n,
+    from one streamed pass over D_n that keeps none of it."""
+    pairs = Counter(itertools.chain.from_iterable(map(enumerate, perms.enumerate_perms(n, "derangements"))))
+    return tuple(tuple(pairs[q, v] for v in range(n + 1)) for q in range(n))
 
 
 class ScanCostError(RuntimeError):
@@ -876,7 +879,7 @@ def _join(n: int, chunks: list[Chunk]) -> OrbitColumns:
 @dataclass(frozen=True)
 class ScanResult:
     """A family's scan: the text of every member in enumeration order, each
-    member's orbit number, the orbits' stats and the extrema summary.
+    member's orbit number, the orbits' stats and, once read, the summary.
 
     ``stats`` is always an ``OrbitColumns``: per T, one fixed-width
     ``array`` of the orbits' counts of secrets solved in 1 + T guesses
@@ -891,7 +894,12 @@ class ScanResult:
     texts: list[str]
     orbits: list[int]
     stats: OrbitColumns
-    summary: ScanSummary
+
+    @cached_property
+    def summary(self) -> ScanSummary:
+        """The extrema (``_summarize``), kept once read; a scan's CSV never
+        reads them."""
+        return _summarize(self.texts, self.orbits, self.stats)
 
 
 def flagged_members(texts: list[str], orbits: list[int], flags: list[bool]) -> tuple[str, ...]:
@@ -899,30 +907,26 @@ def flagged_members(texts: list[str], orbits: list[int], flags: list[bool]) -> t
     return tuple(itertools.compress(texts, map(flags.__getitem__, orbits)))
 
 
+def column_extreme(texts: list[str], orbits: list[int], column: Sequence, pick) -> ExtremeSet:
+    """The extreme (``pick`` is max or min) of a per-orbit ``column`` and
+    the members whose orbit attains it, in scan order."""
+    value = pick(column)
+    return ExtremeSet(value, flagged_members(texts, orbits, list(map(operator.eq, column, itertools.repeat(value)))))
+
+
 def _summarize(texts: list[str], orbits: list[int], stats: OrbitColumns) -> ScanSummary:
-    """The extrema over the orbits' columns; the attainers are then listed
-    member by member, in scan order.  The least average is the least guess
-    total of an orbit without loops, or infinite when every orbit loops."""
-
-    def extreme(value, flags: list[bool]) -> ExtremeSet:
-        return ExtremeSet(value, flagged_members(texts, orbits, flags))
-
+    """The extrema over the orbits' columns (``column_extreme``).  The least
+    average is the least guess total over n!, that of an orbit with loops
+    being infinite."""
+    totals = [inf if loops else total for total, loops in zip(stats.guess_totals, stats.loops())]
+    average = column_extreme(texts, orbits, totals, min)
+    if average.value != inf:
+        average = ExtremeSet(Fraction(average.value, factorial(stats.n)), average.strategy_ids)
     a3 = stats.coefficient(3)
-    finite = list(map(operator.not_, stats.loops()))
-    totals = stats.guess_totals
-    if any(finite):
-        least = min(itertools.compress(totals, finite))
-        average = extreme(
-            Fraction(least, factorial(stats.n)),
-            list(map(operator.and_, map(least.__eq__, totals), finite)),
-        )
-    else:
-        average = extreme(inf, [True] * len(stats))
-    high, low = max(a3), min(a3)
     return ScanSummary(
         min_average=average,
-        max_a3=extreme(high, list(map(high.__eq__, a3))),
-        min_a3=extreme(low, list(map(low.__eq__, a3))),
+        max_a3=column_extreme(texts, orbits, a3, max),
+        min_a3=column_extreme(texts, orbits, a3, min),
     )
 
 
@@ -1115,8 +1119,8 @@ def scan(
     max_cost: int = DEFAULT_MAX_COST,
 ) -> ScanResult:
     """Every strategy in the family, in enumeration order, with its orbit's
-    stats, plus the extrema summary.  Oversized scans are refused up front
-    with the work estimate.
+    stats, and the extrema summary when it is read.  Oversized scans are
+    refused up front with the work estimate.
 
     Only one strategy per symmetry orbit is evaluated: the representatives
     are lower prefixes times tops (``_orbit_map``), and the summary is read
@@ -1161,4 +1165,4 @@ def scan(
             decomposition_stats(Strategy(comps), memo)
         memo.row = None
     texts = strategies.strategy_texts(pools)
-    return ScanResult(n, kind, texts, orbits, stats, _summarize(texts, orbits, stats))
+    return ScanResult(n, kind, texts, orbits, stats)

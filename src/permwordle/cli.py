@@ -7,7 +7,9 @@ fixed key order, CSV with a fixed column order, and scan rows always appear
 in enumeration order regardless of the parallelism degree.
 
 Exit codes: 0 success, 1 usage or parse error (including refused oversized
-scans), 2 verification failure, 3 loop detected by the play command.
+scans), an ``-o`` path that cannot be written, or a stdout closed early
+(as by ``| head``, which ends quietly), 2 verification failure, 3 loop
+detected by the play command.
 """
 
 from __future__ import annotations
@@ -54,24 +56,25 @@ def _dumps(obj) -> str:
 
 
 def _write_stdout(*parts: str) -> None:
-    """Write every one of ``parts`` to stdout in full, in order.
+    """Write every one of ``parts`` to stdout in full, in order, and flush
+    it, so that a closed pipe fails here and not at exit.
 
     An unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) passes each
     write straight to the raw file and drops whatever a short write leaves,
-    as when a signal interrupts a large write to a pipe.  A buffered writer
-    over the same raw file retries until every byte is written.
+    as when a signal interrupts a large write to a pipe, so each part goes
+    on from where the last write stopped.  No byte is held back for a later
+    flush, so a failed write leaves nothing behind.
     """
     raw = getattr(sys.stdout, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
-        for part in parts:
-            sys.stdout.write(part)
+        sys.stdout.writelines(parts)
+        sys.stdout.flush()
         return
     sys.stdout.flush()
-    writer = io.BufferedWriter(raw)
     for part in parts:
-        writer.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
-    writer.flush()
-    writer.detach()  # leaves stdout open
+        data = memoryview(part.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[raw.write(data) :]
 
 
 def _write_output(text: str, args) -> None:
@@ -87,9 +90,12 @@ def _write_output(text: str, args) -> None:
         outdir = os.environ.get(OUTDIR_ENV)
         if outdir:
             path = Path(outdir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as out:
-        out.writelines(parts)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w") as out:
+            out.writelines(parts)
+    except OSError as exc:  # a directory, or under a file: a bad -o value
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -549,6 +555,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader is gone.  Python flushes stdout at exit, so it is pointed
+        # at the null device, as the Python docs advise for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, analysis.ScanCostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

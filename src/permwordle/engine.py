@@ -43,9 +43,7 @@ def feedback(guess: Perm, secret: Perm) -> frozenset[int]:
         raise ValueError(
             f"guess length {len(guess)} differs from secret length {len(secret)}"
         )
-    hits = frozenset(
-        i for i, (g, s) in enumerate(zip(guess, secret), 1) if g == s
-    )
+    hits = frozenset(itertools.compress(range(1, len(guess) + 1), map(operator.eq, guess, secret)))
     if len(hits) == len(guess) - 1 and len(guess) > 1:
         raise ValueError(
             "guess and secret disagree in exactly one position, so they are "
@@ -162,11 +160,7 @@ def play(secret: Perm, strategy: Strategy) -> GameTrace:
     repeats, keeping every guess and correct set (the traced oracle)."""
     secret = perms.validate(secret)
     guesses, _, solved = _game(secret, strategy)
-    positions = range(1, len(secret) + 1)
-    sets = tuple(
-        frozenset(itertools.compress(positions, map(operator.eq, guess, secret)))
-        for guess in guesses
-    )
+    sets = tuple(feedback(guess, secret) for guess in guesses)
     return GameTrace(secret, tuple(guesses), sets, "solved" if solved else "looped")
 
 

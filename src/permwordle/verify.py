@@ -29,7 +29,7 @@ from math import isinf
 from typing import Callable
 
 from . import analysis, closedform, perms, strategies
-from .analysis import DEFAULT_MAX_COST, ScanResult, flagged_members
+from .analysis import DEFAULT_MAX_COST, ScanResult, column_extreme, flagged_members
 from .engine import solve_rounds
 
 
@@ -144,29 +144,18 @@ def _prop_derange_row(n: int):
     if n < 2:
         raise ValueError(f"prop-derange needs n >= 2, got n={n}")
     d_n = closedform.derangement_count(n)
-    expected_sum = closedform.derangement_match_total(n)
-    # counts[q][v] = derangements with value v at position q+1; one pass
-    # over D_n then lets each component's match total be read off.
-    counts = [[0] * (n + 1) for _ in range(n)]
-    pool = list(perms.enumerate_perms(n, "derangements"))
-    for d in pool:
-        for q, v in enumerate(d):
-            counts[q][v] += 1
-    sums = set()
+    expected = Fraction(closedform.derangement_match_total(n), d_n)
+    averages = set()
     first_bad = None
-    for delta in pool:
-        guess = perms.invert(delta)
-        total = sum(counts[q][v] for q, v in enumerate(guess))
-        sums.add(total)
-        if total != expected_sum and first_bad is None:
+    for delta in perms.enumerate_perms(n, "derangements"):
+        average = analysis.average_j2_over_derangements(delta)
+        averages.add(average)
+        if average != expected and first_bad is None:
             first_bad = delta
-    observed = {
-        "averages": {Fraction(s, d_n) for s in sums},
-        "components_checked": d_n,
-    }
+    observed = {"averages": averages, "components_checked": d_n}
     if first_bad is not None:
         observed["first_counterexample"] = perms.format_perm(first_bad)
-    return observed, Fraction(n, n - 1), sums == {expected_sum}
+    return observed, Fraction(n, n - 1), averages == {expected}
 
 
 def _eq_derange_sum_row(n: int):
@@ -251,13 +240,11 @@ def _rho2_row(n: int, *, strategy, closed):
 def _rho2_extreme_row(n: int, result: ScanResult, *, pick, strategy, closed):
     """``strategy(n)`` alone attains the extreme (``pick`` is max or min)
     first-hit-on-guess-two count over all inductive strategies."""
-    rho2 = result.stats.rho[1]
-    value = pick(rho2)
-    ids = flagged_members(result.texts, result.orbits, list(map(value.__eq__, rho2)))
+    best = column_extreme(result.texts, result.orbits, result.stats.rho[1], pick)
     attainer = strategy(n).text
     expected = {"value": closed(n), "strategies": [attainer]}
-    ok = value == closed(n) and ids == (attainer,)
-    return {"value": value, "strategies": ids}, expected, ok
+    ok = best.value == closed(n) and best.strategy_ids == (attainer,)
+    return {"value": best.value, "strategies": best.strategy_ids}, expected, ok
 
 
 # The two strategies the guess-two first-hit checks are about, each with

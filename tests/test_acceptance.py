@@ -4,9 +4,10 @@ Each test prints one PASS/FAIL line (visible with ``pytest -v -s``) and
 asserts exact equality at the stated scale.  Scans are cached at module
 scope, so the heavy work (the full inductive sweep at n = 8 and the cyclic
 sweep at n = 6) runs once for the whole module; on a 2-core box the module
-takes about 9 s, about half of it criterion 12's full playbacks and most
-of the rest criterion 5's first touch of the n = 8 inductive and cyclic
-n = 6 scans, and the whole suite about 30 s.
+takes about 5 s (4.3-5.3 s in three ``--durations`` runs), about a third
+of it criterion 12's full playbacks and another third criterion 5's first
+touch of the n = 8 inductive and cyclic n = 6 scans, and the whole suite
+about 40 s.
 
 Known tie, asserted explicitly where it matters (criteria 10 and 13):
 every strategy shares its generating function with its reflection

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -205,6 +206,32 @@ def test_scan_csv_bytes_are_pinned(capsys, kind, n, jobs, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[kind, n, jobs, fmt]
 
 
+@pytest.mark.parametrize("fmt, calls", [("csv", 0), ("json", 1), ("text", 1)])
+def test_scan_summary_is_built_only_where_it_is_read(capsys, monkeypatch, fmt, calls):
+    """The CSV writer never reads the summary, so a CSV scan never works it
+    out; JSON and text read it once.  Once read, it is what ``_summarize``
+    gives of the scan's texts, orbits and stats."""
+    seen, results = [], []
+    summarize, scan = analysis._summarize, analysis.scan
+
+    def counting(*args):
+        seen.append(args)
+        return summarize(*args)
+
+    def recording(*args, **kw):
+        results.append(scan(*args, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(analysis, "_summarize", counting)
+    monkeypatch.setattr(analysis, "scan", recording)
+    code, _ = run(capsys, "scan", "--n", "5", "--class", "deranged", "--format", fmt, "--jobs", "1")
+    assert code == 0
+    assert len(seen) == calls
+    result = results[0]
+    assert result.summary == summarize(result.texts, result.orbits, result.stats)
+    assert len(seen) == 1
+
+
 def test_scan_json_schema(capsys):
     code, out = run(
         capsys, "scan", "--n", "4", "--class", "deranged", "--format", "json",
@@ -367,6 +394,44 @@ def test_output_file_and_outdir_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "nested" / "out.json").exists()
+
+
+def _child(*argv, unbuffered=True, **kw):
+    """``python -m permwordle *argv`` in a child process, with stdout
+    unbuffered or not and the rest of ``subprocess.Popen``'s ``kw``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "permwordle", *argv], env=env, **kw)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly_with_exit_one(unbuffered):
+    # 3.1 MB of CSV: the child is still writing when the pipe closes.
+    proc = _child(
+        "scan", "--n", "6", "--class", "cyclic", "--format", "csv", "--jobs", "1",
+        unbuffered=unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"strategy_id,n,")
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        assert proc.stderr.read() == b""
+    assert code == 1
+
+
+@pytest.mark.parametrize("where", ["a-directory", "under-a-file"])
+def test_unwritable_output_path_is_an_error(tmp_path, where):
+    (tmp_path / "file").write_text("")
+    target = tmp_path if where == "a-directory" else tmp_path / "file" / "sub" / "gf.json"
+    proc = _child("gf", "--strategy", "cs", "--n", "4", "-o", str(target),
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert out == b""
+    assert err.startswith(b"error: cannot write ") and err.count(b"\n") == 1
+    assert (tmp_path / "file").read_text() == ""
 
 
 class _ShortWriteFile(io.RawIOBase):
