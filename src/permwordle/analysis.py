@@ -20,10 +20,14 @@ into (gf, rho) (``OrbitColumns.stats``).  A cyclic or deranged family's
 representatives are its prefixes times one pool of tops, an inductive
 family's one prefix times its tops (``_orbit_map``, checked against the
 unshortened ``_canonical``), and a lone strategy
-(``decomposition_stats``) is 1 x 1.  Each size k is one pass over D_k
-(``_size_stats``): the rounds of the successor walk (``_lock_rounds``)
-group the derangements by the round and the positions they first lock,
-and each group's successors are relabelled and looked up at once.  A
+(``decomposition_stats``) is 1 x 1.  D_k is kept once per process as
+one byte buffer, k bytes a row, and its rows (``_derangement_rows``); a
+derangement becomes a tuple only to key or read a table below the top
+size.
+Each size k is one pass over D_k (``_size_stats``): the rounds of the
+successor walk (``_lock_rounds``) group the rows by the round and the
+positions they first lock, and each group's successors are relabelled
+and looked up at once.  A
 chunk's memo is shared by its prefixes' strategies, which makes
 family-wide sweeps cheap.  At the top size a chunk of several strategies
 up to ``MAX_RANKED`` reads T(d) = m(d) + V(y(d)): V is the lower
@@ -46,7 +50,6 @@ infinite average and sorts after every terminating strategy.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import operator
 import os
@@ -57,7 +60,7 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, inf, lcm
 from typing import Iterable, NamedTuple
 
@@ -106,48 +109,15 @@ Stats = tuple[GFCoefficients, dict[int, int]]  # (gf, first-hit class counts rho
 Hist = dict[int | float, int]  # number of subgames d by T(d)
 
 
-LARGE_K = 8  # D_8 has 14,833 entries: from here a collection over D_k costs 1 ms or more
-
-
-def _collector_paused(func):
-    """``func(k, ...)`` run with the cyclic garbage collector paused, for
-    k >= ``LARGE_K`` and if it was on.
-
-    For work that builds or groups large containers of the int tuples of
-    D_k: they cannot form a cycle, but while they are young every
-    collection walks all of them again, and when one comes depends on the
-    allocations around it.  Building D_9 takes 55-65 ms with the collector
-    on, about half of it in collections over the growing tuple, and 25 ms
-    paused (2-vCPU Xeon, Python 3.11).  Below ``LARGE_K`` those walks are
-    short and the collector keeps its own schedule."""
-
-    @wraps(func)
-    def paused(k, *args):
-        if k < LARGE_K or not gc.isenabled():
-            return func(k, *args)
-        gc.disable()
-        try:
-            return func(k, *args)
-        finally:
-            gc.enable()
-
-    return paused
-
-
 @lru_cache(maxsize=None)
-@_collector_paused
-def _derangements(k: int) -> tuple[Perm, ...]:
-    """D_k in lexicographic order, kept for the life of the process.
-
-    From k = ``LARGE_K`` one collection of the young generations walks the
-    new D_k once: CPython untracks a tuple of ints when a collection sees
-    it, so no later collection walks D_k's entries, nor a size-k table
-    keyed by them, and the walk (12 ms for D_9) falls here and not on
-    whatever allocation next sets a collection off."""
-    ds = tuple(perms.enumerate_perms(k, "derangements"))
-    if k >= LARGE_K:
-        gc.collect(1)
-    return ds
+def _derangement_rows(k: int) -> tuple[bytes, tuple[bytes, ...]]:
+    """D_k in lexicographic order, kept for the life of the process: one
+    buffer of k bytes a row (``perms.derangement_rows``), and the same rows
+    split once into ``bytes`` objects, which ``_lock_rounds`` groups.  The
+    decomposition walks D_k only in these forms: a derangement becomes a
+    tuple only to key or read a table below the top size."""
+    flat = perms.derangement_rows(k)
+    return flat, tuple(map(operator.itemgetter(0), struct.iter_unpack(f"{k}s", flat)))
 
 
 LOOPED_CODE = 255  # LOOPED in a lookup table V; see ``_top_values``
@@ -157,18 +127,18 @@ MAX_RANKED = 9  # the largest n of the word map: n - 1 entries fit a word up to 
 @lru_cache(maxsize=None)
 def _entries(n: int) -> dict[int, int]:
     """The entry of rd(x) in the flat list of the lower tables, 0 for the
-    identity and then each e in ``_derangements(k)``, k = 2..n-1, for each
-    x in S_n with a fixed point, keyed by its first n - 1 values packed
+    identity and then each row e of ``_derangement_rows(k)``, k = 2..n-1,
+    for each x in S_n with a fixed point, keyed by its first n - 1 values packed
     into a zero-padded 8-byte word that ``memoryview.cast`` reads as an
     int.  x(W_j) = W_e(j) for its incorrect positions W and e = rd(x): per
-    (k, W), one ``bytes.translate`` of the flat D_k entries by j -> W_j
+    (k, W), one ``bytes.translate`` of the D_k buffer by j -> W_j
     gives the x(W_j), strided into identity words, which get e's entries."""
     identity = bytes(range(1, n)).ljust(8, b"\0")
     index = {int.from_bytes(identity, sys.byteorder): 0}
     offset = 1
     for k in range(2, n):
-        size = len(_derangements(k))
-        flat = bytes(itertools.chain.from_iterable(_derangements(k)))
+        flat = _derangement_rows(k)[0]
+        size = len(flat) // k
         for wrong in itertools.combinations(range(n), k):
             moved = flat.translate(bytes.maketrans(bytes(range(1, k + 1)), bytes(q + 1 for q in wrong)))
             xs = bytearray(identity * size)
@@ -183,8 +153,9 @@ def _entries(n: int) -> dict[int, int]:
 def _top_values(n: int, tables: Tables) -> bytes:
     """The lookup table V of a lower prefix, from its complete size < n
     tables, one byte per entry of ``_entries``: V[0] = 0 for the identity,
-    then T(e) for e in ``_derangements(k)``, k = 2..n-1.  A top-size d whose
-    first step x = s_n o d locks something has T(d) = 1 + V(x) = 1 + T(rd(x)).
+    then T(e) for each row e of ``_derangement_rows(k)``, k = 2..n-1, read
+    as a tuple key.  A top-size d whose first step x = s_n o d locks
+    something has T(d) = 1 + V(x) = 1 + T(rd(x)).
 
     LOOPED is stored as ``LOOPED_CODE`` (255) and every finite T as itself,
     so the codes cannot collide while every finite T is below 255.  A
@@ -195,7 +166,7 @@ def _top_values(n: int, tables: Tables) -> bytes:
     for k in range(2, n):
         if len(tables[k]) != closedform.derangement_count(k):
             raise ValueError(f"the size-{k} table must be complete to build V")
-        flat += map(tables[k].__getitem__, _derangements(k))
+        flat += map(tables[k].__getitem__, zip(*[iter(_derangement_rows(k)[0])] * k))
     longest = max(t for t in flat if t != LOOPED)
     if longest >= LOOPED_CODE:
         raise ValueError(f"T = {longest} does not fit below the LOOPED code {LOOPED_CODE}")
@@ -228,7 +199,7 @@ def _chain_rows(lengths: tuple[int, ...]) -> tuple[tuple[bytes, ...], int]:
 
     x_m = c^m o d, so the chains are the rounds of c over D_n
     (``_lock_rounds``): round m holds the d with m(d) = m, and one
-    ``translate`` of their entries by c^m gives their y(d).  The d that
+    ``translate`` of their joined rows by c^m gives their y(d).  The d that
     never lock are the chains that loop."""
     c: list[int] = []
     for size in lengths:  # the block low..low + size - 1, shifted by one
@@ -236,10 +207,7 @@ def _chain_rows(lengths: tuple[int, ...]) -> tuple[tuple[bytes, ...], int]:
         c += [*range(low + 1, low + size), low]
     n = len(c)
     rounds, looping = _lock_rounds(n, bytes.maketrans(bytes(range(1, n + 1)), bytes(c)))
-    rows = tuple(
-        bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(groups.values()))).translate(power)
-        for power, groups in rounds
-    )
+    rows = tuple(b"".join(map(b"".join, groups.values())).translate(power) for power, groups in rounds)
     return rows, len(looping)
 
 
@@ -347,32 +315,31 @@ def _relabel(k: int, key: int) -> tuple[int, bytes, bytes]:
     return len(wrong), bytes(table), bytes(q + 1 for q in range(k) if key >> q & 1)
 
 
-@_collector_paused
-def _lock_rounds(k: int, step: bytes) -> tuple[list[tuple[bytes, dict[int, list[Perm]]]], Sequence[Perm]]:
+def _lock_rounds(k: int, step: bytes) -> tuple[list[tuple[bytes, dict[int, list[bytes]]]], Sequence[bytes]]:
     """The rounds of s over D_k, ``step`` the translation table of s: per
     round i, the table of s^i and the d whose first composition with a
     fixed point is s^i o d, grouped by lock-set key (``_lock_keys``); and
     the d that never lock, as s^i o d comes back to d at the order of s.
+    A d is its row of ``_derangement_rows(k)``, k bytes.
 
     A round keys its pending d by one ``translate`` of their flat entries
-    and groups them with one C-level ``map`` of ``list.append``: a group
-    is a list of the cached D_k tuples, nothing is built per d, and the d
-    that lock nothing (key 0) go on to the next round.  The groups hold
-    all of D_k, so from k = ``LARGE_K`` the walk runs with the collector
-    paused: a collection inside it would walk them all."""
+    (in round one the cached buffer itself, later the ``join`` of the
+    pending rows) and groups the rows with one C-level ``map`` of
+    ``list.append``: nothing is built per d, and the d that lock nothing
+    (key 0) go on to the next round."""
     rounds = []
-    power, pending = step, _derangements(k)
+    flat, pending = _derangement_rows(k)
+    power = step
     while pending and power != _IDENTITY:
-        keys = _lock_keys(bytes(itertools.chain.from_iterable(pending)).translate(power), k)
-        groups: dict[int, list[Perm]] = {key: [] for key in set(keys)}
+        keys = _lock_keys(flat.translate(power), k)
+        groups: dict[int, list[bytes]] = {key: [] for key in set(keys)}
         deque(map(list.append, map(groups.__getitem__, keys), pending), maxlen=0)
         pending = groups.pop(0, [])
         rounds.append((power, groups))
-        power = power.translate(step)
+        power, flat = power.translate(step), b"".join(pending)
     return rounds, pending
 
 
-@_collector_paused
 def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
     """Histogram of T over D_k, from the complete tables of the sizes below
     k.  Fills ``tables[k]`` completely when ``tables`` has a size-k table.
@@ -380,31 +347,32 @@ def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
     T(d) = 1 + T(rd(s o d)) with s = s_k, and s o d is fixed exactly where
     the guess s^-1 agrees with d.  A group of round i of ``_lock_rounds``
     with lock set L has T(d) = i + T(rd(s^i o d)), rd(s^i o d) of size |W|
-    for W the complement of L: one ``translate`` of the group's flat
-    entries by s^i and one that relabels W and deletes L give every rd at
+    for W the complement of L: one ``translate`` of the group's joined
+    rows by s^i and one that relabels W and deletes L give every rd at
     once, and the size-|W| table is read by a C-level ``map`` over their
     tuples, each dropped once it is looked up.  The d that never lock
-    loop.  The collector is paused from k = ``LARGE_K``, as in the walk."""
+    loop.  The d themselves become tuples only as keys of the size-k
+    table, one ``zip`` over the round's joined rows."""
     table = tables.get(k)
     hist: Counter = Counter()
     step = bytes.maketrans(bytes(range(1, k + 1)), bytes(strategy.components[k - 1]))
     rounds, looping = _lock_rounds(k, step)
     for i, (power, groups) in enumerate(rounds, 1):
         found: list[int | float] = []  # T(rd(s^i o d)) by group; 0 for the identity
-        for key, group in groups.items():
+        flats = list(map(b"".join, groups.values()))
+        for key, flat in zip(groups, flats):
             size, relabel, fixed = _relabel(k, key)
-            flat = bytes(itertools.chain.from_iterable(group)).translate(power)
-            rds = zip(*[iter(flat.translate(relabel, fixed))] * size)  # a tuple per `size` bytes
+            rds = zip(*[iter(flat.translate(power).translate(relabel, fixed))] * size)  # a tuple per `size` bytes
             found += map(tables[size].__getitem__, rds) if size else [0]
         ts = map(operator.add, found, itertools.repeat(i))
         if table is not None:
             ts = list(ts)
-            table.update(zip(itertools.chain.from_iterable(groups.values()), ts))
+            table.update(zip(zip(*[iter(b"".join(flats))] * k), ts))
         hist.update(ts)
     if looping:
         hist[LOOPED] += len(looping)
         if table is not None:
-            table.update(dict.fromkeys(looping, LOOPED))
+            table.update(dict.fromkeys(zip(*[iter(b"".join(looping))] * k), LOOPED))
     return hist
 
 
@@ -700,10 +668,11 @@ def average_j2_over_derangements(component: Perm) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _second_guess_counts(n: int) -> tuple[tuple[int, ...], ...]:
-    """``counts[q][v]``, the number of d in D_n with d(q + 1) = v, v = 0..n,
-    from one streamed pass over D_n that keeps none of it."""
-    pairs = Counter(itertools.chain.from_iterable(map(enumerate, perms.enumerate_perms(n, "derangements"))))
-    return tuple(tuple(pairs[q, v] for v in range(n + 1)) for q in range(n))
+    """``counts[q][v]``, the number of d in D_n with d(q + 1) = v, v = 0..n:
+    the count of byte v in column q of ``perms.derangement_rows(n)``, which
+    is not kept."""
+    flat = perms.derangement_rows(n)
+    return tuple(tuple(map(flat[q::n].count, range(n + 1))) for q in range(n))
 
 
 class ScanCostError(RuntimeError):

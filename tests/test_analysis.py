@@ -87,21 +87,25 @@ def test_rho_counts_playback_matches_decomposition(n):
         assert analysis.decomposition_stats(s) == analysis.gf_playback(s)
 
 
-@pytest.mark.parametrize("n", [6, 7])
-def test_rho_counts_playback_matches_seeded_deranged(n):
-    """Seeded deranged strategies, looping ones included: the 36 of six
-    seeded lower prefixes times six seeded tops.  The (gf, rho) of a lone
-    decomposition, and of the same strategies evaluated as one chunk, equal
-    the oracle's, which plays all n! secrets."""
-    rng = random.Random(3100 + n)
+@pytest.mark.parametrize("n, seed, count", [(6, 3106, 6), (7, 3107, 6), (9, 3110, 1)], ids=["6", "7", "9"])
+def test_rho_counts_playback_matches_seeded_deranged(n, seed, count):
+    """Seeded deranged strategies, looping ones included: at n = 6 and 7
+    the 36 of six seeded lower prefixes times six seeded tops, some of which
+    loop and some not; at n = 9 one strategy, where the top-size pass has
+    2-byte lock keys, and 44,321 of whose games loop.  The (gf, rho) of a
+    lone decomposition, and of the same strategies evaluated as one chunk,
+    equal the oracle's, which plays all n! secrets."""
+    rng = random.Random(seed)
     seeded = [
-        ((1,), (2, 1)) + tuple(rng.choice(analysis._derangements(k)) for k in range(3, n + 1))
-        for _ in range(6)
+        ((1,), (2, 1)) + tuple(rng.choice(_derangements(k)) for k in range(3, n + 1))
+        for _ in range(count)
     ]
     prefixes, tops = [c[:-1] for c in seeded], [c[-1] for c in seeded]
     family = [p + (t,) for p in prefixes for t in tops]
     oracle = [analysis.gf_playback(strategies.Strategy(c)) for c in family]
-    assert any(gf.loop_count for gf, _ in oracle) and not all(gf.loop_count for gf, _ in oracle)
+    assert any(gf.loop_count for gf, _ in oracle)
+    if count > 1:
+        assert not all(gf.loop_count for gf, _ in oracle)
     assert [analysis.decomposition_stats(strategies.Strategy(c)) for c in family] == oracle
     assert analysis._evaluate(prefixes, tops) == oracle
 
@@ -135,7 +139,7 @@ def test_gf_playback_equals_a_solve_rounds_tally_deranged(n):
 def test_gf_playback_equals_a_solve_rounds_tally_seeded(n):
     rng = random.Random(2700 + n)
     family = [
-        strategies.Strategy(((1,), (2, 1)) + tuple(rng.choice(analysis._derangements(k)) for k in range(3, n + 1)))
+        strategies.Strategy(((1,), (2, 1)) + tuple(rng.choice(_derangements(k)) for k in range(3, n + 1)))
         for _ in range(8)
     ]
     tallies = [_solve_rounds_tally(s) for s in family]
@@ -195,6 +199,32 @@ def test_average_j2_over_derangements():
     assert analysis.average_j2_over_derangements((2, 1)) == 2
     with pytest.raises(ValueError):
         analysis.average_j2_over_derangements((1, 2, 3))
+
+
+def _streamed_second_guess_counts(n):
+    """``analysis._second_guess_counts`` by one ``Counter`` of the
+    (position, value) pairs of a streamed pass over D_n."""
+    pairs = collections.Counter(
+        itertools.chain.from_iterable(map(enumerate, perms.enumerate_perms(n, "derangements")))
+    )
+    return tuple(tuple(pairs[q, v] for v in range(n + 1)) for q in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_second_guess_counts_equal_the_streamed_count(n):
+    """The column counts of the D_n buffer equal the per-pair count."""
+    assert analysis._second_guess_counts(n) == _streamed_second_guess_counts(n)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_derangement_rows_are_the_tuple_stream(k):
+    """The cached D_k is the tuple stream of ``perms.enumerate_perms``
+    flattened, and its rows are that buffer cut every k bytes, one per
+    derangement."""
+    flat, rows = analysis._derangement_rows(k)
+    assert flat == bytes(itertools.chain.from_iterable(perms.enumerate_perms(k, "derangements")))
+    assert len(flat) // k == len(rows) == closedform.derangement_count(k)
+    assert b"".join(rows) == flat and {len(row) for row in rows} <= {k}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -731,6 +761,13 @@ def test_scan_keeps_the_traced_entry_points(monkeypatch, kind):
             assert comps[:k] in memos[0].hist_cache
 
 
+@functools.lru_cache(maxsize=None)
+def _derangements(k):
+    """D_k as tuples in lexicographic order, for the references and the
+    seeded strategies: the tuple stream of ``perms.enumerate_perms``."""
+    return tuple(perms.enumerate_perms(k, "derangements"))
+
+
 def _reference_size_stats(k, strategy, tables):
     """``analysis._size_stats`` one derangement at a time: each d's T from
     ``engine.successor`` and the size-|e| table, or a chase by
@@ -739,7 +776,7 @@ def _reference_size_stats(k, strategy, tables):
     component, guess = comps[k - 1], invs[k - 1]
     table = tables[k]
     hist = {}
-    for d in analysis._derangements(k):
+    for d in _derangements(k):
         t = table.get(d)
         if t is None:
             e = engine.successor(d, component, guess)
@@ -829,7 +866,7 @@ def _lock_round_components(family):
     kind, n = family
     if kind == "seeded":
         rng = random.Random(2400 + n)
-        return [_random_cycle(rng, n), _random_cycle(rng, n), rng.choice(analysis._derangements(n))]
+        return [_random_cycle(rng, n), _random_cycle(rng, n), rng.choice(_derangements(n))]
     if kind == "pair-swap":
         return [_pair_swap_top(k) for k in range(3, n + 1)]
     return [c for pool in strategies.component_pools(n, kind)[1:] for c in pool]
@@ -859,7 +896,7 @@ def _reference_first_locks(lengths):
     for size in lengths:
         low = len(c) + 1
         c += [*range(low + 1, low + size), low]
-    return [_first_lock(tuple(c), d) for d in analysis._derangements(len(c))]
+    return [_first_lock(tuple(c), d) for d in _derangements(len(c))]
 
 
 def _conjugated_first_locks(s):
@@ -871,7 +908,7 @@ def _conjugated_first_locks(s):
     of the d's, translated by p^-1."""
     k = len(s)
     lengths, p = _conjugator(s)
-    flat = bytes(itertools.chain.from_iterable(analysis._derangements(k)))
+    flat = bytes(itertools.chain.from_iterable(_derangements(k)))
     columns = bytearray(len(flat))
     for j in range(k):
         columns[j::k] = flat[p[j] - 1 :: k]
@@ -881,7 +918,7 @@ def _conjugated_first_locks(s):
     for q in range(k):
         moved += [key | 1 << p[q] - 1 for key in moved]
     relabel = {lock: lock and (lock[0], moved[lock[1]]) for lock in set(reference)}
-    position = {d: i for i, d in enumerate(analysis._derangements(k))}
+    position = {d: i for i, d in enumerate(_derangements(k))}
     return list(map(relabel.__getitem__, map(reference.__getitem__, map(position.__getitem__, es))))
 
 
@@ -897,19 +934,20 @@ def test_lock_rounds_partition_d_k(family):
     round's group or among the looping d, with round i the first at which
     s^i o d has a fixed point, key its fixed-point set and the round's
     table that of s^i, as the walk of each d by itself gives them (walked
-    once per cycle type and relabelled per component)."""
+    once per cycle type and relabelled per component).  A d is its row of
+    ``_derangement_rows(k)``, compared as the tuple of its bytes."""
     for s in _lock_round_components(family):
         k = len(s)
-        ds = analysis._derangements(k)
+        ds = _derangements(k)
         rounds, looping = analysis._lock_rounds(k, bytes.maketrans(bytes(range(1, k + 1)), bytes(s)))
         assert sum(len(group) for _, groups in rounds for group in groups.values()) + len(looping) == len(ds)
         power = s
         for table, _ in rounds:
             assert table == bytes.maketrans(bytes(range(1, k + 1)), bytes(power))
             power = perms.compose(s, power)
-        found = dict.fromkeys(looping)
+        found = dict.fromkeys(map(tuple, looping))
         for i, (_, groups) in enumerate(rounds, 1):
-            found.update((d, (i, key)) for key, group in groups.items() for d in group)
+            found.update((tuple(d), (i, key)) for key, group in groups.items() for d in group)
         assert found == dict(zip(ds, _conjugated_first_locks(s)))
 
 
@@ -932,7 +970,8 @@ def test_decomposition_peak_is_below_the_per_derangement_loop():
     keeps, and no top-size table, so it stays below the loop's peak."""
     s = _seeded_cyclic(8, 8)
     for k in range(2, 9):
-        analysis._derangements(k)
+        analysis._derangement_rows(k)
+        _derangements(k)
 
     def peak(run):
         tracemalloc.start()
@@ -977,11 +1016,11 @@ def _reference_ranks(n):
         for wrong in itertools.combinations(range(n), k):
             x = list(range(1, n + 1))
             targets = (0,) + tuple(q + 1 for q in wrong)
-            for i, e in enumerate(analysis._derangements(k), offset):
+            for i, e in enumerate(_derangements(k), offset):
                 for q, v in zip(wrong, e):
                     x[q] = targets[v]
                 entry[index[_word(x)]] = i
-        offset += len(analysis._derangements(k))
+        offset += len(_derangements(k))
     return index, tuple(entry)
 
 
@@ -1043,7 +1082,7 @@ def test_top_chains_are_prefix_independent(n):
     ]
     for top in tops:
         chains = analysis._top_chains(top)
-        ends = [_no_lock_chain(top, d) for d in analysis._derangements(n)]
+        ends = [_no_lock_chain(top, d) for d in _derangements(n)]
         reached = sorted((m, entry[engine.relative_derangement(y)]) for m, y in filter(None, ends))
         found = [(m, y) for m, ends_m in enumerate(chains.ends, 1) for y in ends_m]
         assert sorted(found) == reached
@@ -1057,7 +1096,7 @@ def test_top_chains_are_prefix_independent(n):
             tables = SubgameMemo().tables_up_to(s, n)
             fresh = [
                 engine._chase(d, s.inverses, s.components, tables)
-                for d in analysis._derangements(n)
+                for d in _derangements(n)
             ]
             for t, end in zip(fresh, ends):
                 v = None if end is None else values[entry[engine.relative_derangement(end[1])]]
@@ -1085,7 +1124,7 @@ def _flat_words(flat, n):
 def _reference_walk_base(n):
     """The flat entries of D_n, and the D_n position of each derangement
     by its rank in ``_reference_ranks``."""
-    flat = bytes(itertools.chain.from_iterable(analysis._derangements(n)))
+    flat = bytes(itertools.chain.from_iterable(_derangements(n)))
     index, _ = _reference_ranks(n)
     return flat, dict(zip(map(index.__getitem__, _flat_words(flat, n)), itertools.count()))
 
