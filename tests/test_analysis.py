@@ -24,6 +24,13 @@ CS5 = strategies.cyclic_shift(5)
 CSL5 = strategies.cyclic_shift_left_top(5)
 
 
+@functools.lru_cache(maxsize=None)
+def _derangements(k):
+    """D_k as tuples in lexicographic order, for the references and the
+    seeded strategies: the tuple stream of ``perms.enumerate_perms``."""
+    return tuple(perms.enumerate_perms(k, "derangements"))
+
+
 def test_gf_reference_rows():
     cases = [
         (CS4, (1, 11, 11, 1)),
@@ -759,13 +766,6 @@ def test_scan_keeps_the_traced_entry_points(monkeypatch, kind):
         for k in range(2, 5):
             assert len(memos[0].table(s, k)) == closedform.derangement_count(k)
             assert comps[:k] in memos[0].hist_cache
-
-
-@functools.lru_cache(maxsize=None)
-def _derangements(k):
-    """D_k as tuples in lexicographic order, for the references and the
-    seeded strategies: the tuple stream of ``perms.enumerate_perms``."""
-    return tuple(perms.enumerate_perms(k, "derangements"))
 
 
 def _reference_size_stats(k, strategy, tables):
