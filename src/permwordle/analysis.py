@@ -21,7 +21,7 @@ representatives are its prefixes times one pool of tops, an inductive
 family's one prefix times its tops (``_orbit_map``, checked against the
 unshortened ``_canonical``), and a lone strategy
 (``decomposition_stats``) is 1 x 1.  D_k is kept once per process as
-one byte buffer, k bytes a row, and its rows (``_derangement_rows``); a
+one byte buffer, k bytes a row, and its rows (``_derangements``); a
 derangement becomes a tuple only to key or read a table below the top
 size.
 Each size k is one pass over D_k (``_size_stats``): the rounds of the
@@ -110,14 +110,29 @@ Hist = dict[int | float, int]  # number of subgames d by T(d)
 
 
 @lru_cache(maxsize=None)
-def _derangement_rows(k: int) -> tuple[bytes, tuple[bytes, ...]]:
+def _derangements(k: int) -> tuple[bytes, tuple[bytes, ...]]:
     """D_k in lexicographic order, kept for the life of the process: one
-    buffer of k bytes a row (``perms.derangement_rows``), and the same rows
-    split once into ``bytes`` objects, which ``_lock_rounds`` groups.  The
-    decomposition walks D_k only in these forms: a derangement becomes a
-    tuple only to key or read a table below the top size."""
-    flat = perms.derangement_rows(k)
-    return flat, tuple(map(operator.itemgetter(0), struct.iter_unpack(f"{k}s", flat)))
+    buffer of k bytes a row, and its rows as ``bytes`` objects, which
+    ``_lock_rounds`` groups.  Each row is packed from the tuple that
+    ``perms.enumerate_perms`` yields, and the tuple is dropped at once:
+    the decomposition walks D_k only as rows and buffer, and a derangement
+    becomes a tuple again only to key or read a table below the top size.
+    The buffer grows by ``bytearray.extend``: a ``join`` of the rows would
+    hold an 80-byte ``Py_buffer`` per row while it runs (10.7 MB for D_9)."""
+    rows = tuple(itertools.starmap(struct.Struct(f"{k}B").pack, perms.enumerate_perms(k, "derangements")))
+    flat = bytearray()
+    deque(map(flat.extend, rows), maxlen=0)
+    return bytes(flat), rows
+
+
+@lru_cache(maxsize=None)
+def _keys(k: int) -> dict[bytes, Perm]:
+    """Each row of ``_derangements(k)`` to its tuple, in lexicographic
+    order: the keys of every size-k table, so that one tuple per
+    derangement serves all of them and ``_top_values`` reads a table with
+    its own keys.  Built only for the sizes below the top."""
+    flat, rows = _derangements(k)
+    return dict(zip(rows, zip(*[iter(flat)] * k)))
 
 
 LOOPED_CODE = 255  # LOOPED in a lookup table V; see ``_top_values``
@@ -127,7 +142,7 @@ MAX_RANKED = 9  # the largest n of the word map: n - 1 entries fit a word up to 
 @lru_cache(maxsize=None)
 def _entries(n: int) -> dict[int, int]:
     """The entry of rd(x) in the flat list of the lower tables, 0 for the
-    identity and then each row e of ``_derangement_rows(k)``, k = 2..n-1,
+    identity and then each row e of ``_derangements(k)``, k = 2..n-1,
     for each x in S_n with a fixed point, keyed by its first n - 1 values packed
     into a zero-padded 8-byte word that ``memoryview.cast`` reads as an
     int.  x(W_j) = W_e(j) for its incorrect positions W and e = rd(x): per
@@ -137,7 +152,7 @@ def _entries(n: int) -> dict[int, int]:
     index = {int.from_bytes(identity, sys.byteorder): 0}
     offset = 1
     for k in range(2, n):
-        flat = _derangement_rows(k)[0]
+        flat = _derangements(k)[0]
         size = len(flat) // k
         for wrong in itertools.combinations(range(n), k):
             moved = flat.translate(bytes.maketrans(bytes(range(1, k + 1)), bytes(q + 1 for q in wrong)))
@@ -153,8 +168,8 @@ def _entries(n: int) -> dict[int, int]:
 def _top_values(n: int, tables: Tables) -> bytes:
     """The lookup table V of a lower prefix, from its complete size < n
     tables, one byte per entry of ``_entries``: V[0] = 0 for the identity,
-    then T(e) for each row e of ``_derangement_rows(k)``, k = 2..n-1, read
-    as a tuple key.  A top-size d whose first step x = s_n o d locks
+    then T(e) for each row e of ``_derangements(k)``, k = 2..n-1, read
+    by its key (``_keys``).  A top-size d whose first step x = s_n o d locks
     something has T(d) = 1 + V(x) = 1 + T(rd(x)).
 
     LOOPED is stored as ``LOOPED_CODE`` (255) and every finite T as itself,
@@ -166,7 +181,7 @@ def _top_values(n: int, tables: Tables) -> bytes:
     for k in range(2, n):
         if len(tables[k]) != closedform.derangement_count(k):
             raise ValueError(f"the size-{k} table must be complete to build V")
-        flat += map(tables[k].__getitem__, zip(*[iter(_derangement_rows(k)[0])] * k))
+        flat += map(tables[k].__getitem__, _keys(k).values())
     longest = max(t for t in flat if t != LOOPED)
     if longest >= LOOPED_CODE:
         raise ValueError(f"T = {longest} does not fit below the LOOPED code {LOOPED_CODE}")
@@ -320,23 +335,24 @@ def _lock_rounds(k: int, step: bytes) -> tuple[list[tuple[bytes, dict[int, list[
     round i, the table of s^i and the d whose first composition with a
     fixed point is s^i o d, grouped by lock-set key (``_lock_keys``); and
     the d that never lock, as s^i o d comes back to d at the order of s.
-    A d is its row of ``_derangement_rows(k)``, k bytes.
+    A d is its row of ``_derangements(k)``, k bytes.
 
     A round keys its pending d by one ``translate`` of their flat entries
     (in round one the cached buffer itself, later the ``join`` of the
     pending rows) and groups the rows with one C-level ``map`` of
     ``list.append``: nothing is built per d, and the d that lock nothing
     (key 0) go on to the next round."""
-    rounds = []
-    flat, pending = _derangement_rows(k)
-    power = step
+    rounds, power = [], step
+    flat, pending = _derangements(k)
     while pending and power != _IDENTITY:
+        if rounds:
+            flat = b"".join(pending)
         keys = _lock_keys(flat.translate(power), k)
         groups: dict[int, list[bytes]] = {key: [] for key in set(keys)}
         deque(map(list.append, map(groups.__getitem__, keys), pending), maxlen=0)
         pending = groups.pop(0, [])
         rounds.append((power, groups))
-        power, flat = power.translate(step), b"".join(pending)
+        power = power.translate(step)
     return rounds, pending
 
 
@@ -351,8 +367,8 @@ def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
     rows by s^i and one that relabels W and deletes L give every rd at
     once, and the size-|W| table is read by a C-level ``map`` over their
     tuples, each dropped once it is looked up.  The d that never lock
-    loop.  The d themselves become tuples only as keys of the size-k
-    table, one ``zip`` over the round's joined rows."""
+    loop.  The d themselves are keyed in the size-k table by their cached
+    tuples (``_keys``)."""
     table = tables.get(k)
     hist: Counter = Counter()
     step = bytes.maketrans(bytes(range(1, k + 1)), bytes(strategy.components[k - 1]))
@@ -367,12 +383,12 @@ def _size_stats(k: int, strategy: Strategy, tables: Tables) -> Hist:
         ts = map(operator.add, found, itertools.repeat(i))
         if table is not None:
             ts = list(ts)
-            table.update(zip(zip(*[iter(b"".join(flats))] * k), ts))
+            table.update(zip(map(_keys(k).__getitem__, itertools.chain.from_iterable(groups.values())), ts))
         hist.update(ts)
     if looping:
         hist[LOOPED] += len(looping)
         if table is not None:
-            table.update(dict.fromkeys(zip(*[iter(b"".join(looping))] * k), LOOPED))
+            table.update(dict.fromkeys(map(_keys(k).__getitem__, looping), LOOPED))
     return hist
 
 
@@ -669,9 +685,8 @@ def average_j2_over_derangements(component: Perm) -> Fraction:
 @lru_cache(maxsize=None)
 def _second_guess_counts(n: int) -> tuple[tuple[int, ...], ...]:
     """``counts[q][v]``, the number of d in D_n with d(q + 1) = v, v = 0..n:
-    the count of byte v in column q of ``perms.derangement_rows(n)``, which
-    is not kept."""
-    flat = perms.derangement_rows(n)
+    the count of byte v in column q of the D_n buffer (``_derangements``)."""
+    flat = _derangements(n)[0]
     return tuple(tuple(map(flat[q::n].count, range(n + 1))) for q in range(n))
 
 

@@ -5,17 +5,14 @@ A permutation of {1..n} is stored as a plain tuple of ints in one-line
 permutation mapping 1->2, 2->3, 3->1 is ``(2, 3, 1)``.  All public positions
 and values are 1-based, matching the usual combinatorial convention.
 
-Derangements also come as one ``bytes`` buffer, n bytes a row
-(``derangement_rows``), the form the subgame decomposition walks.
-Everything here is a pure function on immutable tuples or bytes, so the
-module is safe to use from any number of threads or worker processes.
+Everything here is a pure function on immutable tuples, so the module is
+safe to use from any number of threads or worker processes.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import struct
 from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
@@ -124,37 +121,6 @@ def _deranged_prefixes(
             yield from _deranged_prefixes(prefix + (v,), left[:i] + left[i + 1 :], length)
 
 
-def _derangement_blocks(n: int) -> Iterator[bytes]:
-    """D_n in lexicographic order as one block of rows, n bytes a row, per
-    fixed-point-free prefix; see ``enumerate_perms``.
-
-    A block is the prefix's bytes joined between its tails, each tail one
-    row of ``bytes``, and a leading empty row puts the prefix first.  The
-    tails of a set of values left are kept for the rest of the walk."""
-    if not 1 <= n <= 255:
-        raise ValueError(f"derangements as byte rows need 1 <= n <= 255, got n={n}")
-    head = max(n - TAIL, 0)
-    positions = range(head + 1, n + 1)
-    tails: dict[tuple[int, ...], list[bytes]] = {}
-    for prefix, left in _deranged_prefixes((), tuple(range(1, n + 1)), head):
-        rows = tails.get(left)
-        if rows is None:
-            rows = tails[left] = [b""]
-            rows += (bytes(q) for q in itertools.permutations(left) if not any(map(operator.eq, q, positions)))
-        yield bytes(prefix).join(rows)
-
-
-def derangement_rows(n: int) -> bytes:
-    """D_n in lexicographic order as one buffer, n bytes a row: row i is
-    the i-th derangement of ``enumerate_perms(n, "derangements")``.  Values
-    are bytes, so n is at most 255.
-
-    >>> derangement_rows(3)
-    b'\\x02\\x03\\x01\\x03\\x01\\x02'
-    """
-    return b"".join(_derangement_blocks(n))
-
-
 def enumerate_perms(n: int, kind: str = "all") -> Iterator[Perm]:
     """Yield permutations of {1..n} in lexicographic order.
 
@@ -162,20 +128,17 @@ def enumerate_perms(n: int, kind: str = "all") -> Iterator[Perm]:
     (no fixed points), or "cyclic" (single n-cycles).  The stream is
     independently restartable, so work can be partitioned by index range.
 
-    Derangements come in blocks, the same blocks that ``derangement_rows``
-    joins, each unpacked into tuples as the stream reaches it.  A
-    permutation is a derangement exactly when its first n - 5 entries (the
-    prefix) and its last 5 entries (the tail) each avoid their own
-    positions.  The prefixes are walked depth first with each entry
-    increasing, so they come in lexicographic order.  Each is followed by
-    its block: every arrangement of the values it leaves that fixes none
-    of the last 5 positions, taken from ``itertools.permutations`` of those
-    values sorted, so also in lexicographic order.  Prefixes in order, each
-    with its tails in order, make the whole stream lexicographic.  The
-    tails depend only on the values left, so they are built once per set
-    of them (at most C(n, 5)) and freed with the stream; for n <= 5 there
-    is one block and no prefix.  Values are bytes there, so derangements
-    need n <= 255.
+    Derangements come in blocks.  A permutation is a derangement exactly
+    when its first n - 5 entries (the prefix) and its last 5 entries (the
+    tail) each avoid their own positions.  The prefixes are walked depth
+    first with each entry increasing, so they come in lexicographic order.
+    Each is followed by its block: every arrangement of the values it
+    leaves that fixes none of the last 5 positions, taken from
+    ``itertools.permutations`` of those values sorted, so also in
+    lexicographic order.  Prefixes in order, each with its tails in order,
+    make the whole stream lexicographic.  A block depends only on the
+    values left, so it is built once per set of them (at most C(n, 5)) and
+    freed with the stream; for n <= 5 there is one block and no prefix.
     """
     if n < 1:
         raise ValueError("a permutation must have length at least 1")
@@ -183,9 +146,16 @@ def enumerate_perms(n: int, kind: str = "all") -> Iterator[Perm]:
     if kind == "all":
         yield from base
     elif kind == "derangements":
-        unpack = struct.Struct(f"{n}B").iter_unpack
-        for block in _derangement_blocks(n):
-            yield from unpack(block)
+        head = max(n - TAIL, 0)
+        positions = range(head + 1, n + 1)
+        blocks: dict[tuple[int, ...], list[Perm]] = {}
+        for prefix, left in _deranged_prefixes((), tuple(range(1, n + 1)), head):
+            block = blocks.get(left)
+            if block is None:
+                block = blocks[left] = [
+                    q for q in itertools.permutations(left) if not any(map(operator.eq, q, positions))
+                ]
+            yield from map(prefix.__add__, block)
     elif kind == "cyclic":
         for p in base:
             if is_cyclic(p):

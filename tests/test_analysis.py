@@ -228,7 +228,7 @@ def test_derangement_rows_are_the_tuple_stream(k):
     """The cached D_k is the tuple stream of ``perms.enumerate_perms``
     flattened, and its rows are that buffer cut every k bytes, one per
     derangement."""
-    flat, rows = analysis._derangement_rows(k)
+    flat, rows = analysis._derangements(k)
     assert flat == bytes(itertools.chain.from_iterable(perms.enumerate_perms(k, "derangements")))
     assert len(flat) // k == len(rows) == closedform.derangement_count(k)
     assert b"".join(rows) == flat and {len(row) for row in rows} <= {k}
@@ -935,7 +935,7 @@ def test_lock_rounds_partition_d_k(family):
     s^i o d has a fixed point, key its fixed-point set and the round's
     table that of s^i, as the walk of each d by itself gives them (walked
     once per cycle type and relabelled per component).  A d is its row of
-    ``_derangement_rows(k)``, compared as the tuple of its bytes."""
+    ``analysis._derangements(k)``, compared as the tuple of its bytes."""
     for s in _lock_round_components(family):
         k = len(s)
         ds = _derangements(k)
@@ -970,7 +970,7 @@ def test_decomposition_peak_is_below_the_per_derangement_loop():
     keeps, and no top-size table, so it stays below the loop's peak."""
     s = _seeded_cyclic(8, 8)
     for k in range(2, 9):
-        analysis._derangement_rows(k)
+        analysis._derangements(k)
         _derangements(k)
 
     def peak(run):

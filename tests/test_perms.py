@@ -120,14 +120,6 @@ def test_derangement_enumeration_equals_brute_filter(n):
     assert list(perms.enumerate_perms(n, "derangements")) == brute_derangements(n)
 
 
-@pytest.mark.parametrize("n", [0, 256])
-def test_derangement_rows_refuse_sizes_outside_a_byte(n):
-    with pytest.raises(ValueError):
-        perms.derangement_rows(n)
-    with pytest.raises(ValueError):
-        next(perms.enumerate_perms(n, "derangements"))
-
-
 def test_derangement_enumeration_is_lazy():
     """The first of D_14 comes without walking the 13! permutations that
     start with 1, and without building a block for every set of tail values."""
