@@ -1057,7 +1057,9 @@ def _scan_chunk(prefixes: list[tuple[Perm, ...]], tops: list[Perm], memo: Subgam
 def _parts(prefixes: list[tuple[Perm, ...]], tops: list[Perm], jobs: int) -> list[tuple[list, list]]:
     """A pooled scan's chunks, in order: at most ``jobs`` contiguous runs of
     whole prefixes, each with every top, when there is more than one
-    prefix, and otherwise runs of the one prefix's tops.  No run is empty."""
+    prefix, and otherwise runs of the one prefix's tops.  No run is empty.
+    The caller evaluates the first, and the pool's ``jobs - 1`` workers the
+    rest."""
     runs = prefixes if len(prefixes) > 1 else tops
     count = min(jobs, len(runs))
     cut = [runs[len(runs) * i // count : len(runs) * (i + 1) // count] for i in range(count)]
@@ -1067,7 +1069,8 @@ def _parts(prefixes: list[tuple[Perm, ...]], tops: list[Perm], jobs: int) -> lis
 def _scan_part(part: tuple[int, tuple[list, list]]) -> Chunk:
     """``_scan_chunk`` of chunk i of a pooled scan, after one move to the
     i-th allowed CPU (the mask is restored at once): forked workers may
-    start on one CPU and stay there (README, "Scales and cost guard")."""
+    start on one CPU and stay there (README, "Scales and cost guard").
+    The calling process runs chunk 0, on the first CPU; worker i, chunk i."""
     i, (prefixes, tops) = part
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
@@ -1108,12 +1111,15 @@ def scan(
 
     Only one strategy per symmetry orbit is evaluated: the representatives
     are lower prefixes times tops (``_orbit_map``), and the summary is read
-    off the orbits' columns.  A pool has at most ``jobs`` workers, and no
-    more than ``available_cpus``.  Workers own private memos, take
-    contiguous runs of whole prefixes, or of the tops of a lone prefix
-    (``_parts``), a CPU each (``_scan_part``), and return their columns as
-    bytes (``_scan_chunk``), which ``_join`` concatenates and checks, so
-    results are identical for any parallelism.
+    off the orbits' columns.  A pooled scan runs in at most ``jobs``
+    processes, and no more than ``available_cpus``: ``jobs - 1`` forked
+    workers plus the caller, which evaluates the first part while the
+    workers evaluate the rest.  Each owns a private memo, takes a
+    contiguous run of whole prefixes, or of the tops of a lone prefix
+    (``_parts``), and a CPU (``_scan_part``), and returns its columns as
+    bytes (``_scan_chunk``), which ``_join`` concatenates in order and
+    checks, so results are identical for any parallelism.  An error in a
+    worker's part is raised again by ``scan``.
 
     In process (one job, or too few representatives for a pool), every
     representative then passes once, in order, through
@@ -1131,14 +1137,19 @@ def scan(
     jobs = min(jobs, available_cpus())
     if jobs > 1 and len(prefixes) * len(tops) >= 4 * jobs:
         if 1 < n <= MAX_RANKED:
-            _entries(n)  # built once here and shared by the forked workers
+            _entries(n)  # built once here: the caller uses it, forked workers share it
         parts = _parts(prefixes, tops, jobs)
         # Imported here, where a pool starts: importing multiprocessing costs
         # about 8 ms, which every command would otherwise pay at start-up.
         import multiprocessing
 
-        with multiprocessing.Pool(len(parts)) as pool:
-            chunks = pool.map(_scan_part, enumerate(parts))
+        # Fork, where the platform has it, so that workers inherit the
+        # package and ``_entries(n)`` instead of importing and rebuilding them.
+        fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        with multiprocessing.get_context(fork).Pool(len(parts) - 1) as pool:
+            rest = pool.map_async(_scan_part, enumerate(parts[1:], 1))
+            first = _scan_part((0, parts[0]))
+            chunks = [first, *rest.get()]
         stats = _join(n, chunks)
     else:
         memo = SubgameMemo()

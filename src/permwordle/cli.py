@@ -478,8 +478,8 @@ def _add_work_flags(p) -> None:
         "--jobs",
         type=_positive_int,
         default=analysis.available_cpus(),
-        help="worker processes for scans, a positive integer, at most the "
-        "CPUs this process may use (results are identical for any value)",
+        help="processes for scans, a positive integer: jobs - 1 workers plus "
+        "this one, at most the CPUs it may use (results are identical for any value)",
     )
     p.add_argument(
         "--max-cost",

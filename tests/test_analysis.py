@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from math import comb, factorial, inf
 from pathlib import Path
@@ -346,41 +347,140 @@ def test_parts_hold_whole_prefixes_and_join_to_the_serial_bytes(kind, n, jobs):
     assert _column_bytes(joined) == _column_bytes(analysis.scan(n, kind, jobs=1).stats)
 
 
-@pytest.mark.parametrize("cpus", [None, 3], ids=["allowed", "three"])
-def test_scan_pool_asks_for_no_more_workers_than_cpus(monkeypatch, cpus):
-    """``jobs`` far above the CPU count (``scan --n 6 --class deranged
-    --jobs 10000`` would have asked for 10,000 workers) starts a pool no
-    larger than the CPUs this process may run on (``available_cpus``, also
-    the CLI's default), and the scan equals its jobs=1 result.  The pool is
-    a fake that records the number of workers asked for and maps
-    in-process: no process starts."""
+class _FakePools:
+    """Stands in for ``multiprocessing.get_context``: it records the start
+    method asked for, and the pools it gives record the number of workers
+    asked for and the parts sent to them.  A pool maps in-process when its
+    result is read, with ``in_pool`` set meanwhile, so no process starts;
+    like a real pool's result, ``.get()`` raises what a part raised."""
+
+    def __init__(self):
+        self.methods, self.sizes, self.sent = [], [], []
+        self.in_pool = False
+
+    def __call__(self, method=None):
+        self.methods.append(method)
+        return self
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map_async(self, func, iterable):
+        items = list(iterable)
+        self.sent.append(items)
+
+        def get():
+            self.in_pool = True
+            try:
+                return list(map(func, items))
+            finally:
+                self.in_pool = False
+
+        return types.SimpleNamespace(get=get)
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
     import multiprocessing
 
-    sizes = []
+    pools = _FakePools()
+    monkeypatch.setattr(multiprocessing, "get_context", pools)
+    return pools
 
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, iterable):
-            return list(map(func, iterable))
-
+@pytest.mark.parametrize("cpus", [None, 3], ids=["allowed", "three"])
+def test_scan_pool_asks_for_no_more_workers_than_cpus(monkeypatch, fake_pools, cpus):
+    """``jobs`` far above the CPU count (``scan --n 6 --class deranged
+    --jobs 10000`` would have asked for 10,000 workers) runs in no more
+    processes than the CPUs this process may run on (``available_cpus``,
+    also the CLI's default): a pool of one worker fewer, since the caller
+    evaluates a part too.  The scan equals its jobs=1 result.  The pool is
+    a fake that records the number of workers asked for and maps
+    in-process: no process starts."""
     if cpus:
         monkeypatch.setattr(analysis, "available_cpus", lambda: cpus)
     allowed = analysis.available_cpus()
     serial = analysis.scan(5, "deranged", jobs=1)
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     assert analysis.scan(5, "deranged", jobs=10_000) == serial
+    sizes = fake_pools.sizes
     if cpus:
-        assert sizes == [3]
+        assert sizes == [2]
     assert len(sizes) == (allowed > 1)
-    assert all(1 < size <= allowed for size in sizes)
+    assert all(1 < size + 1 <= allowed for size in sizes)
+
+
+@pytest.mark.parametrize("kind, n", [("cyclic", 5), ("inductive", 6)])
+def test_scan_caller_evaluates_the_first_part(monkeypatch, fake_pools, kind, n):
+    """A pooled scan's caller runs ``_scan_part`` on part 0 only, and the
+    pool, of ``jobs - 1`` workers, receives parts 1.. in order, numbered
+    from 1; the joined columns are the bytes of the jobs=1 scan."""
+    jobs = 3
+    monkeypatch.setattr(analysis, "available_cpus", lambda: jobs)
+    serial = analysis.scan(n, kind, jobs=1)
+    _, prefixes, tops = analysis._orbit_map(kind, strategies.component_pools(n, kind))
+    parts = analysis._parts(prefixes, tops, jobs)
+    in_caller = []
+    real = analysis._scan_part
+
+    def recording_part(part):
+        if not fake_pools.in_pool:
+            in_caller.append(part[0])
+        return real(part)
+
+    monkeypatch.setattr(analysis, "_scan_part", recording_part)
+    pooled = analysis.scan(n, kind, jobs=jobs)
+    assert len(parts) == jobs
+    assert in_caller == [0]
+    assert fake_pools.sizes == [jobs - 1]
+    assert fake_pools.sent == [list(enumerate(parts[1:], 1))]
+    assert _column_bytes(pooled.stats) == _column_bytes(serial.stats)
+    assert pooled == serial
+
+
+def test_scan_pool_forks_where_the_platform_can(fake_pools):
+    """The pool comes from the fork context wherever fork is a start
+    method, so that workers share the package and ``_entries(n)`` that the
+    caller already holds, whatever the interpreter's default method; where
+    it is not, from the default context."""
+    import multiprocessing
+
+    if analysis.available_cpus() < 2:
+        pytest.skip("a pooled scan needs two allowed CPUs")
+    analysis.scan(5, "cyclic", jobs=2)
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    assert fake_pools.methods == ["fork" if fork else None]
+    assert fake_pools.sizes == [1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the patched chunk reaches the worker only by fork")
+def test_scan_raises_a_pooled_part_error(monkeypatch):
+    """A ``ValueError`` raised in a part that a pool worker evaluates (a
+    real, forked worker) comes out of ``scan`` with its type and message,
+    and the caller's own part still ran."""
+    monkeypatch.setattr(analysis, "available_cpus", lambda: 2)
+    caller = os.getpid()
+    real = analysis._scan_chunk
+    in_caller = []
+
+    def chunk(prefixes, tops, memo=None):
+        if os.getpid() != caller:
+            raise ValueError(f"bad part of {len(prefixes)} prefixes")
+        in_caller.append(len(prefixes))
+        return real(prefixes, tops, memo)
+
+    monkeypatch.setattr(analysis, "_scan_chunk", chunk)
+    with pytest.raises(ValueError) as raised:
+        analysis.scan(5, "cyclic", jobs=2)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "bad part of 3 prefixes"
+    assert in_caller == [3]
 
 
 @pytest.mark.parametrize(
