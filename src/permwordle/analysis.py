@@ -1148,8 +1148,7 @@ def scan(
         fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         with multiprocessing.get_context(fork).Pool(len(parts) - 1) as pool:
             rest = pool.map_async(_scan_part, enumerate(parts[1:], 1))
-            first = _scan_part((0, parts[0]))
-            chunks = [first, *rest.get()]
+            chunks = [_scan_part((0, parts[0])), *rest.get()]
         stats = _join(n, chunks)
     else:
         memo = SubgameMemo()

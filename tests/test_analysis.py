@@ -444,15 +444,14 @@ def test_scan_caller_evaluates_the_first_part(monkeypatch, fake_pools, kind, n):
     assert pooled == serial
 
 
-def test_scan_pool_forks_where_the_platform_can(fake_pools):
+def test_scan_pool_forks_where_the_platform_can(monkeypatch, fake_pools):
     """The pool comes from the fork context wherever fork is a start
     method, so that workers share the package and ``_entries(n)`` that the
     caller already holds, whatever the interpreter's default method; where
     it is not, from the default context."""
     import multiprocessing
 
-    if analysis.available_cpus() < 2:
-        pytest.skip("a pooled scan needs two allowed CPUs")
+    monkeypatch.setattr(analysis, "available_cpus", lambda: 2)
     analysis.scan(5, "cyclic", jobs=2)
     fork = "fork" in multiprocessing.get_all_start_methods()
     assert fake_pools.methods == ["fork" if fork else None]
