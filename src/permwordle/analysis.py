@@ -32,17 +32,21 @@ chunk's memo is shared by its prefixes' strategies, which makes
 family-wide sweeps cheap.  At the top size a chunk of several strategies
 up to ``MAX_RANKED`` reads T(d) = m(d) + V(y(d)): V is the lower
 prefix's tables as one flat list, read at the entry of rd(y), and m, y
-come from the no-lock chains of the top component (``_top_chains``),
-which serve it under every lower prefix.  Tops of one cycle type are
-conjugate, so their chains are the rounds of one walk over D_n per cycle
-type (``_chain_rows``, the same ``_lock_rounds``), relabelled per top
-and keyed by entry (``_entries``).  Under several prefixes a chunk
-counts all its tops together: big-int counters hold one fixed-width
-field per top, one C-level sum of chain-end planes per chain length m
+come from the no-lock chains of the top component, which serve it under
+every lower prefix.  The chains nest: where s o d is deranged, the chain
+of d is that of s o d and one step more, so the chain ends of length m
+are the ends of length 1 whose depth is at least m, and each top needs
+only those, ordered by depth.  Tops of one cycle type are conjugate, so
+their ends are the rounds of one walk per cycle type over the d that
+start a chain (``_chain_rows``, the same ``_lock_rounds``), relabelled
+per top and keyed by entry (``_entries``), one lookup per level-1 end
+(``_top_ends``).  Under several prefixes a chunk counts all its tops
+together: big-int counters hold one fixed-width field per top, one
+C-level sum of chain-end planes per chain length m (``_top_chains``)
 and value v of V adds to every top's count of T = m + v at once
 (``_top_counts``), and a prefix's counter for T, as bytes, is its count
-column for T.  Under one prefix each top is read off V by itself
-(``_top_stats``).
+column for T.  Under one prefix each top is read off V by itself, each
+end's code once for every length it ends (``_top_stats``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -193,11 +197,12 @@ class TopChains(NamedTuple):
 
     The chain of d is x_1 = s o d, x_(i+1) = s o x_i while x_i is deranged;
     it ends at y(d) = x_m, the first composition with a fixed point, after
-    m(d) = m steps.  ``ends[m - 1]`` holds the entry of rd(y(d))
-    (``_entries``) for each d with m(d) = m, in no set order; ``loops``
-    counts the d whose chain repeats.
-    Tops of one cycle type are conjugate, and ``_top_chains`` reads all
-    their chains off one walk (``_chain_rows``).
+    m(d) = m steps.  ``ends[m - 1]``, level m, holds the entry of rd(y(d))
+    (``_entries``) for each d with m(d) = m; ``loops`` counts the d whose
+    chain repeats.  The levels are nested (``_chain_rows``): level m is
+    the suffix of the level-1 ends, ordered by depth, whose depth is at
+    least m.  Tops of one cycle type are conjugate, and ``_top_ends``
+    reads all their chains off one walk.
     """
 
     ends: tuple[list[int], ...]
@@ -205,25 +210,41 @@ class TopChains(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _chain_rows(lengths: tuple[int, ...]) -> tuple[tuple[bytes, ...], int]:
-    """The no-lock chains of c, the permutation of cycle type ``lengths``
-    whose cycles are blocks of consecutive values, each shifted by one: by
-    m, the flat entries of y(d) for every d with m(d) = m, and the number
-    of d whose chain loops.  Kept for the life of the process, one entry
-    per cycle type of the tops read off a lookup table.
+def _chain_rows(lengths: tuple[int, ...]) -> tuple[bytes, tuple[int, ...], int]:
+    """The level-1 chain ends of c, the permutation of cycle type
+    ``lengths`` whose cycles are blocks of consecutive values, each shifted
+    by one: the flat y(d) of every d with m(d) = 1, ordered by depth, the
+    count of each depth 1, 2, ..., and the number of d whose chain loops.
+    Kept for the life of the process, one entry per cycle type of the tops
+    read off a lookup table.
 
-    x_m = c^m o d, so the chains are the rounds of c over D_n
-    (``_lock_rounds``): round m holds the d with m(d) = m, and one
-    ``translate`` of their joined rows by c^m gives their y(d).  The d that
-    never lock are the chains that loop."""
+    The levels are nested.  If c o d is deranged, the chain of d is that
+    of c o d with one step before it: y(d) = y(c o d) and m(d) = m(c o d)
+    + 1.  So level m, the y(d) with m(d) = m, is the level-1 ends of depth
+    at least m, the depth of y being the largest m(d) with y(d) = y, and
+    no level repeats an end, since d -> c^m o d is one-to-one.  An end of
+    depth k is y(d) for one d of each m = 1..k, and the one of m = k, its
+    start, is the d whose c^-1 o d has a fixed point (d(q) = c(q) for some
+    q), as d = c o d' for no deranged d'.  One ``translate`` of D_n by
+    c^-1 and its lock-set keys (``_lock_keys``) pick the starts, and their
+    chains are the rounds of c over them (``_lock_rounds``): round k holds
+    the starts of depth k, and one ``translate`` of their joined rows by
+    c^k gives their y.  A looping chain has no start, as it passes through
+    a deranged c^-1 o d, and every other d is on one start's chain, so the
+    loop count is |D_n| less the sum over k of k times the count of depth
+    k."""
     c: list[int] = []
     for size in lengths:  # the block low..low + size - 1, shifted by one
         low = len(c) + 1
         c += [*range(low + 1, low + size), low]
     n = len(c)
-    rounds, looping = _lock_rounds(n, bytes.maketrans(bytes(range(1, n + 1)), bytes(c)))
-    rows = tuple(b"".join(map(b"".join, groups.values())).translate(power) for power, groups in rounds)
-    return rows, len(looping)
+    inverse = bytes.maketrans(bytes(c), bytes(range(1, n + 1)))
+    flat, rows = _derangements(n)
+    starts = list(itertools.compress(rows, _lock_keys(flat.translate(inverse), n)))
+    rounds, _ = _lock_rounds(n, bytes.maketrans(bytes(range(1, n + 1)), bytes(c)), starts)
+    ends = b"".join(b"".join(map(b"".join, groups.values())).translate(power) for power, groups in rounds)
+    counts = tuple(sum(map(len, groups.values())) for _, groups in rounds)
+    return ends, counts, len(rows) - sum(map(operator.mul, counts, itertools.count(1)))
 
 
 def _cycles(p: Perm) -> list[list[int]]:
@@ -240,44 +261,61 @@ def _cycles(p: Perm) -> list[list[int]]:
     return cycles
 
 
-def _top_chains(top: Perm) -> TopChains:
-    """``TopChains`` of ``top``, read off the walk of its cycle type.
+def _top_ends(top: Perm) -> tuple[list[int], tuple[int, ...], int]:
+    """The level-1 chain ends of ``top`` as entries of their rd
+    (``_entries``), ordered by depth, the count of each depth and the loop
+    count, read off the walk of its cycle type (``_chain_rows``): what
+    both top-size routes read of a top.
 
     Write top = p c p^-1, with c as in ``_chain_rows``: p lists the top's
     cycles, shortest first, so that it sends c's blocks onto them.  Then
     d -> e = p^-1 d p is a bijection of D_n, top^i o d = p (c^i o e) p^-1,
-    and the fixed points of p z p^-1 are p(Fix z).  So m(d) = m(e) and
-    y(d) = p y(e) p^-1, whose entry at j is p(y(e)(p^-1(j))): per m, one
-    ``translate`` by p and n - 1 strided copies of the columns p^-1(j)
-    make the words, and the entry of each rd(y(d)) is one ``_entries``
-    lookup."""
+    and the fixed points of p z p^-1 are p(Fix z).  So m(d) = m(e), the
+    depths agree, and y(d) = p y(e) p^-1, whose entry at j is
+    p(y(e)(p^-1(j))): one ``translate`` by p and n - 1 strided copies of
+    the columns p^-1(j) make the words, and the entry of each level-1 end
+    is one ``_entries`` lookup, 1,275 of the 1,854 chain ends at n = 7
+    and 90,109 of 133,496 at n = 9 for the n-cycles."""
     n, cycles = len(top), sorted(_cycles(top), key=len)
     p = bytes(itertools.chain.from_iterable(cycles))  # p(a) = p[a - 1]
-    rows, loops = _chain_rows(tuple(map(len, cycles)))
-    relabel = bytes.maketrans(bytes(range(1, n + 1)), p)
-    columns = list(map(p.index, range(1, n)))  # p^-1(j) - 1 for j < n
-    index = _entries(n)
-    ends = []
-    for row in rows:
-        flat, words = row.translate(relabel), bytearray(len(row) // n * 8)
-        for j, q in enumerate(columns):
-            words[j::8] = flat[q::n]
-        ends.append(list(map(index.__getitem__, memoryview(words).cast("Q").tolist())))
-    return TopChains(tuple(ends), loops)
+    rows, counts, loops = _chain_rows(tuple(map(len, cycles)))
+    flat, words = rows.translate(bytes.maketrans(bytes(range(1, n + 1)), p)), bytearray(len(rows) // n * 8)
+    for j, q in enumerate(map(p.index, range(1, n))):  # q = p^-1(j + 1) - 1
+        words[j::8] = flat[q::n]
+    return list(map(_entries(n).__getitem__, memoryview(words).cast("Q").tolist())), counts, loops
+
+
+def _top_chains(top: Perm) -> TopChains:
+    """``TopChains`` of ``top``: level m is the suffix of its level-1 ends
+    (``_top_ends``) from the first of depth m.  While some chain loops the
+    levels run on, empty, to the order of the top minus one, as the rounds
+    of its walk would."""
+    ends, counts, loops = _top_ends(top)
+    starts = [*itertools.accumulate(counts[:-1], initial=0)]
+    if loops:
+        starts += [len(ends)] * (_order(top) - 1 - len(starts))
+    return TopChains(tuple(ends[start:] for start in starts), loops)
 
 
 def _top_stats(top: Perm, values: bytes) -> Hist:
     """``_size_stats`` at the top size n, read off the lookup table V:
     T(d) = m(d) + V(y(d)) (LOOPED if either is), with m and y from the
-    no-lock chains of the top."""
-    chains = _top_chains(top)
-    hist: Hist = {LOOPED: chains.loops} if chains.loops else {}
-    for m, ends in enumerate(chains.ends, 1):
-        # The trailing entry keeps the getter's result a tuple; it is cut.
-        found = bytes(operator.itemgetter(*ends, 0)(values))[:-1]
-        for v in set(found):
-            t = LOOPED if v == LOOPED_CODE else m + v
-            hist[t] = hist.get(t, 0) + found.count(v)
+    no-lock chains of the top.  Each level-1 end y of depth k is y(d) for
+    one d of each m = 1..k (``_chain_rows``), so its code v = V(y) is read
+    once and counts once for each T = v + 1, ..., v + k, or k times for
+    LOOPED."""
+    ends, counts, loops = _top_ends(top)
+    # The trailing entry keeps the getter's result a tuple; it is cut.
+    found = bytes(operator.itemgetter(*ends, 0)(values))[:-1]
+    hist: Hist = {LOOPED: loops} if loops else {}
+    start = 0
+    for depth, count in enumerate(counts, 1):
+        part = found[start : start + count]
+        start += count
+        for v in set(part):
+            times = part.count(v)
+            for t in [LOOPED] * depth if v == LOOPED_CODE else range(v + 1, v + depth + 1):
+                hist[t] = hist.get(t, 0) + times
     return hist
 
 
@@ -330,22 +368,26 @@ def _relabel(k: int, key: int) -> tuple[int, bytes, bytes]:
     return len(wrong), bytes(table), bytes(q + 1 for q in range(k) if key >> q & 1)
 
 
-def _lock_rounds(k: int, step: bytes) -> tuple[list[tuple[bytes, dict[int, list[bytes]]]], Sequence[bytes]]:
+def _lock_rounds(
+    k: int, step: bytes, start: list[bytes] | None = None
+) -> tuple[list[tuple[bytes, dict[int, list[bytes]]]], Sequence[bytes]]:
     """The rounds of s over D_k, ``step`` the translation table of s: per
     round i, the table of s^i and the d whose first composition with a
     fixed point is s^i o d, grouped by lock-set key (``_lock_keys``); and
     the d that never lock, as s^i o d comes back to d at the order of s.
-    A d is its row of ``_derangements(k)``, k bytes.
+    A d is its row of ``_derangements(k)``, k bytes; the rounds walk all
+    of D_k, or the rows ``start`` when given.
 
     A round keys its pending d by one ``translate`` of their flat entries
-    (in round one the cached buffer itself, later the ``join`` of the
-    pending rows) and groups the rows with one C-level ``map`` of
+    (in a round one over D_k the cached buffer itself, else the ``join``
+    of the pending rows) and groups the rows with one C-level ``map`` of
     ``list.append``: nothing is built per d, and the d that lock nothing
     (key 0) go on to the next round."""
     rounds, power = [], step
-    flat, pending = _derangements(k)
+    flat, rows = _derangements(k)
+    pending = rows if start is None else start
     while pending and power != _IDENTITY:
-        if rounds:
+        if pending is not rows:
             flat = b"".join(pending)
         keys = _lock_keys(flat.translate(power), k)
         groups: dict[int, list[bytes]] = {key: [] for key in set(keys)}

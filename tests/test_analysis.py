@@ -601,8 +601,8 @@ def test_lookup_route_equals_fresh_decomposition(monkeypatch, kind, n):
     """``_evaluate`` reads every top size off its lower prefix's lookup
     table; a fresh memo never does.  Both must give the same (gf, rho) for
     every strategy of the family."""
-    built = {"chains": 0, "values": 0}
-    for name, key in (("_top_chains", "chains"), ("_top_values", "values")):
+    built = {"ends": 0, "chains": 0, "values": 0}
+    for name, key in (("_top_ends", "ends"), ("_top_chains", "chains"), ("_top_values", "values")):
         def counting(*args, _orig=getattr(analysis, name), _key=key):
             built[_key] += 1
             return _orig(*args)
@@ -613,13 +613,15 @@ def test_lookup_route_equals_fresh_decomposition(monkeypatch, kind, n):
     assert analysis._evaluate(prefixes, tops) == [
         analysis.decomposition_stats(strategies.Strategy(c)) for c in family
     ]
-    # One V per lower prefix and one chain structure per top, whether the
-    # tops are counted together (several prefixes) or one by one (one
-    # prefix); a lone decomposition builds neither, nor does ``_evaluate``
-    # of a family of one strategy.
+    # One V per lower prefix and one read of each top's chain ends, whether
+    # the tops are counted together (several prefixes, through
+    # ``_top_chains``) or one by one (one prefix, straight off the ends); a
+    # lone decomposition builds none, nor does ``_evaluate`` of a family of
+    # one strategy.
     ranked = n > 1 and len(family) > 1
     assert built["values"] == ranked * len(prefixes)
-    assert built["chains"] == ranked * len(tops)
+    assert built["ends"] == ranked * len(tops)
+    assert built["chains"] == (ranked and len(prefixes) > 1) * len(tops)
 
 
 def _product(kind, n):
@@ -1296,6 +1298,69 @@ def test_conjugation_route_equals_the_per_top_walk_at_every_cycle_type(n):
     reference = [_chain_pairs(_reference_top_chains(top)) for top in tops]
     assert any(loops for _, loops in reference)
     assert [_chain_pairs(analysis._top_chains(top)) for top in tops] == reference
+
+
+def _block_cycle(lengths):
+    """The permutation of cycle type ``lengths`` whose cycles are blocks of
+    consecutive values, each shifted by one: the c of ``_chain_rows``."""
+    c = []
+    for size in lengths:
+        low = len(c) + 1
+        c += [*range(low + 1, low + size), low]
+    return tuple(c)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [lengths for n in range(3, 9) for lengths in _cycle_types(n)] + [(9,)],
+    ids=lambda lengths: "+".join(map(str, lengths)),
+)
+def test_chain_levels_nest_into_depth_classes(lengths):
+    """The chain ends of ``_chain_rows``, the level-1 ends ordered by depth,
+    against every d's own chain (``_no_lock_chain``): each level's ends are
+    distinct, level m + 1 lies in level m, and the depth of each end is the
+    largest m(d) over the d with y(d) = y."""
+    c = _block_cycle(lengths)
+    n = len(c)
+    walked = [_no_lock_chain(c, d) for d in _derangements(n)]
+    levels, deepest = collections.defaultdict(list), {}
+    for m, y in filter(None, walked):
+        levels[m].append(y)
+        deepest[y] = max(deepest.get(y, 0), m)
+    for m, ends in levels.items():
+        assert len(set(ends)) == len(ends)
+        assert m == 1 or set(ends) <= set(levels.get(m - 1, ()))
+    rows, counts, loops = analysis._chain_rows(lengths)
+    found = [tuple(rows[i : i + n]) for i in range(0, len(rows), n)]
+    depths = [m for m, count in enumerate(counts, 1) for _ in range(count)]
+    assert len(found) == len(depths) == len(deepest)
+    assert dict(zip(found, depths)) == deepest
+    assert loops == walked.count(None)
+
+
+def test_top_stats_equal_a_per_derangement_tally_at_n8():
+    """``_top_stats`` reads each level-1 end's code once for all the levels
+    it ends; at n = 8 it must equal the tally of T(d) = m(d) + V(y(d)) over
+    every d's own chain, for the right shift, the left-shift top and the
+    pair-swap top, whose chains loop, under a lower prefix whose size-4
+    component loops, so that V holds LOOPED codes."""
+    n = 8
+    prefix = ((1,), (2, 1), (2, 3, 1), (2, 1, 4, 3)) + strategies.cyclic_shift(n - 1).components[4:]
+    s = strategies.Strategy(prefix + (strategies.cyclic_shift(n).top,))
+    memo = SubgameMemo()
+    analysis.decomposition_stats(s, memo)
+    values = analysis._top_values(n, memo.tables_up_to(s, n - 1))
+    assert analysis.LOOPED_CODE in values
+    entry = _reference_entries(n)
+    tops = [strategies.cyclic_shift(n).top, strategies.cyclic_shift_left_top(n).top, _pair_swap_top(n)]
+    for top in tops:
+        tally = collections.Counter()
+        ends = [_no_lock_chain(top, d) for d in _derangements(n)]
+        for end in ends:
+            v = None if end is None else values[entry[engine.relative_derangement(end[1])]]
+            tally[LOOPED if v in (None, analysis.LOOPED_CODE) else end[0] + v] += 1
+        assert analysis._top_stats(top, values) == dict(tally)
+    assert None in ends  # the pair-swap top's chains loop
 
 
 @pytest.mark.parametrize(

@@ -176,7 +176,9 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv):
 # must keep these bytes.  Cyclic n = 6 runs two workers, each with its own
 # memo, and each counts the 120 tops under its 72 lower prefixes together.
 # Deranged n = 5 has looping strategies: a null average in JSON, inf in
-# text and empty average columns in CSV.
+# text and empty average columns in CSV.  Inductive n = 7 reads its 108
+# tops off one lower prefix, one top at a time, in one process at --jobs 1
+# and split between the caller and one worker at --jobs 2 on two CPUs.
 SCAN_SHA256 = {
     ("inductive", "6", "1", "csv"): "f4aa402ff14d323a82f7ad75f1aa15d26dc81b9bc62a0e53ebd5ca0f54ff74b9",
     ("cyclic", "5", "1", "csv"): "7a65a86a85443da06ed6d59adcdc7b250d1a88f8e4b6ddbb4453947d819a2d20",
@@ -188,6 +190,8 @@ SCAN_SHA256 = {
     ("cyclic", "5", "1", "text"): "bd01f118012c2c3e74de0f06414b9fb06fcc2baafea0d25717d4141f94714c88",
     ("deranged", "5", "1", "json"): "35a45bb12ea045a793b2bb67928ca7a710e4ea7be8cc7f00e9af22234c662b18",
     ("deranged", "5", "1", "text"): "32c764a176032cb9d9b52e7aba66681ce73e18a08f0d45561dc61bee9e91cae3",
+    ("inductive", "7", "1", "csv"): "e82324a4922fbf0acc3d01724e539d98ad511c7c87c77d658990d324229ec25a",
+    ("inductive", "7", "2", "csv"): "e82324a4922fbf0acc3d01724e539d98ad511c7c87c77d658990d324229ec25a",
 }
 
 
