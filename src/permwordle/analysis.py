@@ -5,10 +5,13 @@ Two independent routes produce a strategy's generating function and its
 first-hit-class counts, each as one (gf, rho) pair:
 
 * direct playback of all n! secrets (``gf_playback``), the oracle: the
-  games are played together, one round at a time, as rows of
-  z = secret^-1 o guess grouped by their correct positions, each group
-  moved by the strategy's move rule (``engine._mover``) with no
-  successor, table or memo (``_play_block``), and
+  games are played together, one round at a time, as byte columns of
+  z = secret^-1 o guess and three counters, each round a fixed number of
+  C-level column operations with no object per game: every game is keyed
+  by its correct positions and moved by the strategy's move rule
+  (``engine._mover``, read into per-key source tables) through a
+  multiplexer tree over the columns, with no successor, subgame table or
+  memo (``_play_block``), and
 * the subgame decomposition: a secret with k incorrect positions
   contributes through its relative derangement d, so the count of secrets
   solved in 1 + t guesses is sum over k of C(n, k) * #{d in D_k : T(d) = t}.
@@ -64,8 +67,8 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, inf, lcm
+from functools import cached_property, lru_cache, partial
+from math import comb, factorial, inf, lcm
 from typing import Iterable, NamedTuple
 
 from . import closedform, perms, strategies
@@ -333,23 +336,33 @@ def _lock_bits(k: int) -> tuple[bytes, ...]:
     return tuple(map(bytes, tables))
 
 
-def _lock_keys(rows: bytes, k: int, stride: int | None = None) -> memoryview:
-    """The fixed points of each size-k permutation in the flat ``rows`` as
-    one int key with bit q set when position q + 1 is fixed.  A row is
-    ``stride`` bytes (k unless given), the permutation its first k.  Each
-    column is one ``translate`` to its bit; the columns of 8 positions are
-    OR-ed into one byte plane as big ints, and the planes are interleaved
-    into a 1-, 2- or 4-byte key per row."""
-    stride = stride or k
-    count = len(rows) // stride
-    code, width = ("B", 1) if k <= 8 else ("H", 2) if k <= 16 else ("I", 4)
+_int = partial(int.from_bytes, byteorder="little")  # a byte column as one big int, byte j as byte j
+
+
+def _lock_planes(columns: Iterable[bytes], k: int) -> list[int]:
+    """The fixed points of size-k permutations given as their k columns
+    (column q holds each permutation's value at position q + 1), as one
+    big int per 8 positions: byte j of plane p has bit q - 8p set when
+    position q + 1 of permutation j is fixed.  Each column is one
+    ``translate`` to its bit, and the columns of a plane are OR-ed as big
+    ints.  The columns are read one at a time."""
     bits = _lock_bits(k)
+    planes = [0] * ((k + 7) // 8)
+    for q, column in enumerate(columns):
+        planes[q // 8] |= _int(column.translate(bits[q]))
+    return planes
+
+
+def _lock_keys(rows: bytes, k: int) -> memoryview:
+    """The fixed points of each size-k permutation in the flat ``rows``, k
+    bytes a row, as one int key with bit q set when position q + 1 is
+    fixed: the planes of its columns (``_lock_planes``) interleaved into a
+    1-, 2- or 4-byte key per row."""
+    count = len(rows) // k
+    code, width = ("B", 1) if k <= 8 else ("H", 2) if k <= 16 else ("I", 4)
     keys = bytearray(width * count)
-    for low in range(0, k, 8):
-        plane = 0
-        for q in range(low, min(low + 8, k)):
-            plane |= int.from_bytes(rows[q::stride].translate(bits[q]), "little")
-        byte = low // 8 if sys.byteorder == "little" else width - 1 - low // 8
+    for p, plane in enumerate(_lock_planes((rows[q::k] for q in range(k)), k)):
+        byte = p if sys.byteorder == "little" else width - 1 - p
         keys[byte::width] = plane.to_bytes(count, "little")
     return memoryview(keys).cast(code)
 
@@ -578,6 +591,7 @@ def decomposition_stats(strategy: Strategy, memo: SubgameMemo | None = None) -> 
 
 PLAYBACK_BLOCK = 20_160  # 8!/2: the secrets one playback keeps in flight at once
 _SAME = b"\xff" + bytes(255)  # translates a zero difference byte to 0xFF, every other to 0
+_COUNT = bytes(v.bit_count() for v in range(256))  # the set bits of each key byte
 
 
 def _order(p: Perm) -> int:
@@ -585,87 +599,151 @@ def _order(p: Perm) -> int:
     return lcm(*map(len, _cycles(p)))
 
 
-def _stayed(keys: memoryview, last: bytes) -> int:
-    """As a big int, 0xFF in the byte of each row whose key equals its key
-    of the round before (``last``, laid out as ``keys``), 0 in the others:
-    one XOR of the keys, its bytes of one row OR-ed into one, and one
-    ``translate``."""
-    size, count = keys.itemsize, len(keys)
-    diff = (int.from_bytes(keys, "little") ^ int.from_bytes(last, "little")).to_bytes(size * count, "little")
-    changed = 0
-    for j in range(size):
-        changed |= int.from_bytes(diff[j::size], "little")
-    return int.from_bytes(changed.to_bytes(count, "little").translate(_SAME), "little")
+def _symmetric(k: int) -> list[bytes]:
+    """S_k as k columns of k! bytes, column q holding each permutation's
+    value at position q + 1: S_(k-1) with k inserted at every position,
+    one ``join`` per column."""
+    columns, size = [], 1
+    for m in range(1, k + 1):
+        constant = bytes([m]) * size
+        columns = [
+            b"".join(columns[q] if q < p else constant if q == p else columns[q - 1] for p in range(m))
+            for q in range(m)
+        ]
+        size *= m
+    return columns
 
 
-def _play_block(strategy: Strategy, limits: list[int], block: bytes, counts: Counter, rho: dict[int, int]) -> None:
-    """Play the game of each permutation z of the flat ``block`` to its
-    end, with z as secret^-1, adding the games by rounds to ``counts``
+def _secret_blocks(n: int) -> Iterable[list[bytes]]:
+    """S_n as blocks of at most ``PLAYBACK_BLOCK`` permutations, each as n
+    columns (``_symmetric``), every permutation in exactly one block.  With
+    m = min(n, 8): for each assignment of distinct values to the positions
+    m + 1..n, S_m relabelled onto the other values (one ``translate`` per
+    column) and a constant column for each assigned position."""
+    m = min(n, 8)
+    base = _symmetric(m)
+    size = len(base[0])
+    for fixed in itertools.permutations(range(1, n + 1), n - m):
+        rest = bytes(sorted(set(range(1, n + 1)).difference(fixed)))
+        relabel = bytes.maketrans(bytes(range(1, m + 1)), rest)
+        columns = [column.translate(relabel) for column in base] + [bytes([v]) * size for v in fixed]
+        for start in range(0, size, PLAYBACK_BLOCK):
+            yield [column[start : start + PLAYBACK_BLOCK] for column in columns]
+
+
+def _sources(strategy: Strategy, high: int) -> list[bytes]:
+    """Per target position i, the translation table from the low byte of a
+    lock-set key whose high byte is ``high`` to the source of i under that
+    key's move: the getter of ``engine._mover`` takes the next guess's
+    value at i from position source(i) of the guess, and applied to
+    range(n) it lists the sources.  A key with fewer than two incorrect
+    positions (solved, or no game's) keeps every position."""
+    n = strategy.n
+    flat = bytearray()
+    for key in range(high << 8, min(high + 1 << 8, 1 << n)):
+        mask = tuple(not key >> q & 1 for q in range(n))
+        flat += bytes(_mover(strategy, mask)(range(n)) if mask.count(True) > 1 else range(n))
+    return [bytes(flat[i::n].ljust(256, b"\0")) for i in range(n)]
+
+
+def _move(zs: list[int], keys: list[bytes], sources: list[list[bytes]], ones: int) -> list[int]:
+    """The columns of z o m, as big ints, for the games whose z columns are
+    ``zs`` and whose lock-set keys are ``keys`` (a low byte column and,
+    past n = 8, a high one), m the move of each game's key.
+
+    Column i of z o m takes each game's byte from the column of z at the
+    game's source of i.  Per high byte present, one ``translate`` of the
+    low key bytes through its ``sources`` tables gives the source index of
+    i, and the parts are joined by masking each to its games; then each
+    bit b of the index, widened to a 0xFF or 0x00 byte mask, picks between
+    pairs of candidate columns, x ^ ((x ^ y) & mask), a multiplexer tree of
+    n - 1 picks."""
+    low, *high = keys
+    highs = [h for h in range(len(sources)) if h in high[0]] if high else [0]
+    selects = [_int(high[0].translate(_SELECT[h])) * 255 for h in highs] if len(highs) > 1 else []
+    moved = []
+    for i in range(len(zs)):
+        if selects:
+            index = sum(_int(low.translate(sources[h][i])) & select for h, select in zip(highs, selects))
+        else:
+            index = _int(low.translate(sources[highs[0]][i]))
+        candidates = zs
+        for b in range((len(zs) - 1).bit_length()):
+            mask = (index >> b & ones) * 255
+            picked = [x ^ ((x ^ y) & mask) for x, y in zip(candidates[::2], candidates[1::2])]
+            candidates = picked + candidates[2 * len(picked) :]
+        moved.append(candidates[0])
+    return moved
+
+
+def _restarted(counters: int, found: int, last: int, ones: int, size: int) -> int:
+    """The round counters after one more round: one more where the correct
+    count of a game (``found``, each byte 1 + it) equals that of the round
+    before (``last``), else 1.  Locked positions never move, so a game's
+    correct set can only grow, and it is the same set exactly when it has
+    the same size."""
+    return (counters & _int((found ^ last).to_bytes(size, "little").translate(_SAME))) + ones
+
+
+def _play_block(
+    block: list[bytes], limit: bytes, sources: list[list[bytes]], counts: Counter, rho: dict[int, int]
+) -> None:
+    """Play the game of each permutation z of ``block`` (its n columns) to
+    its end, with z as secret^-1, adding the games by rounds to ``counts``
     (LOOPED: those that loop) and the first-hit rounds of those solved in
     three to ``rho``.
 
-    A row of n + 2 bytes is z = secret^-1 o guess, which is fixed exactly
-    where the guess is correct (in round one, with the identity guess, the
-    permutation from ``block``), then a counter of the rounds spent under
-    the current correct set and the first hit's round (0 before it; kept
-    up to round 2, all that ``rho`` reads).  Each round keys every row by
-    its correct positions (``_lock_keys``), counts a counter up where the
-    key is the one of the round before and restarts it at 1 elsewhere, and
-    groups the rows by key with one C-level ``map``.  A full key is solved.
-    The move of a key is the mover of ``engine._mover``: the next guess is
-    guess o move, so z becomes z o move, n strided column copies for the
-    whole group.  The move's order is that of the component it applies
-    (``limits[k - 1]`` is one more), and under one correct set only the
-    move acts, so a row whose counter reaches the limit has come back to
-    the guess it had when that set appeared: exactly where ``engine._game``
-    sees a guess repeat, it loops."""
-    n = strategy.n
-    width, full = n + 2, (1 << n) - 1
-    split = struct.Struct(f"{width}s").iter_unpack
-    moves: dict[int, tuple[int, ...]] = {}
-    rows = bytearray(len(block) // n * width)
-    for q in range(n):
-        rows[q::width] = block[q::n]
-    last = None  # the keys of the round before; key 0 before round one
+    The games in flight are n + 3 byte columns: z = secret^-1 o guess, which
+    is fixed exactly where the guess is correct (in round one, with the
+    identity guess, the permutation from ``block``); a counter of the rounds
+    spent under the current correct set; 1 plus the rounds without a hit
+    before round three, which at round three is the round of the first hit;
+    and 1 plus the correct count of the round before.  Every byte of them
+    is nonzero, so one AND with the mask of the games still in play and one
+    ``translate(None, b"\\0")`` per column drop the others.  Each round
+    keys every game by its correct positions (``_lock_planes``), reads its
+    correct count off the key bytes, restarts the counters where the count
+    changed (``_restarted``), and moves every game at once (``_move``): the
+    next guess is guess o m for the key's mover m of ``engine._mover``, so z
+    becomes z o m.  A game with every position correct is solved.  The
+    move's order is that of the component it applies, and under one correct
+    set only the move acts, so a game whose counter reaches ``limit`` at its
+    correct count (1 + the order; 0 at a solved count) has come back to the
+    guess it had when that set appeared: exactly where ``engine._game`` sees
+    a guess repeat, it loops."""
+    n = len(block)
+    size = len(block[0])
+    # No 1 + correct count is 0xFF, so every counter restarts in round one.
+    columns = [*block, b"\1" * size, b"\1" * size, b"\xff" * size]
     r = 0
-    while rows:
+    while columns[0]:
         r += 1
-        count = len(rows) // width
-        keys = _lock_keys(rows, n, width)
-        counters = int.from_bytes(rows[n::width], "little") & _stayed(keys, last or bytes(keys.nbytes))
-        rows[n::width] = (counters + int.from_bytes(b"\1" * count, "little")).to_bytes(count, "little")
-        groups: dict[int, list[bytes]] = {key: [] for key in set(keys)}
-        deque(map(list.append, map(groups.__getitem__, keys), map(operator.itemgetter(0), split(rows))), maxlen=0)
-        solved = groups.pop(full, None)
+        size = len(columns[0])
+        ones = _int(b"\1" * size)
+        zs, (counters, hits, last) = columns[:n], map(_int, columns[n:])
+        keys = [plane.to_bytes(size, "little") for plane in _lock_planes(zs, n)]
+        found = sum(_int(key.translate(_COUNT)) for key in keys) + ones
+        counters = _restarted(counters, found, last, ones, size)
+        fixed = found.to_bytes(size, "little")
+        ends = (counters ^ _int(fixed.translate(limit))).to_bytes(size, "little")  # 0 where a game loops
+        solved, looped = fixed.count(n + 1), ends.count(0)
+        done = _int(fixed.translate(_SELECT[n + 1])) * 255 if solved else 0  # 0xFF where a game is solved
         if solved:
-            counts[r] += len(solved)
-            if r == 3:
-                hits = b"".join(solved)[n + 1 :: width]
-                rho[1] += hits.count(1)
-                rho[2] += hits.count(2)
-                rho[3] += hits.count(0)
-        first = bytes([r]) + _IDENTITY[1:]  # translates "no hit yet" to this round
-        parts, lasts = [], []
-        for key, group in groups.items():
-            limit = limits[n - key.bit_count() - 1]
-            flat = b"".join(group)
-            looped = flat[n::width].count(limit)
-            if looped:
-                counts[LOOPED] += looped
-                keep = flat[n::width].translate(bytes(map(limit.__ne__, range(256))))  # 0 where it loops
-                group = list(itertools.compress(group, keep))
-                flat = b"".join(group)
-            if key not in moves:
-                mask = tuple(not key >> q & 1 for q in range(n))
-                moves[key] = (*_mover(strategy, mask)(range(n)), n, n + 1)
-            moved = bytearray(len(flat))
-            for i, q in enumerate(moves[key]):
-                moved[i::width] = flat[q::width]
-            if key and r < 3:
-                moved[n + 1 :: width] = moved[n + 1 :: width].translate(first)
-            parts.append(moved)
-            lasts.append(key.to_bytes(keys.itemsize, sys.byteorder) * len(group))
-        rows, last = bytearray(b"".join(parts)), b"".join(lasts)
+            counts[r] += solved
+            if r == 3:  # hits is the round of the first hit
+                firsts = (hits & done).to_bytes(size, "little")
+                for j in rho:
+                    rho[j] += firsts.count(j)
+        if looped:
+            counts[LOOPED] += looped
+        if r < 3:
+            hits += _int(fixed.translate(_SELECT[1]))  # no hit: the correct count is 0
+        state = [*_move(list(map(_int, zs)), keys, sources, ones), counters, hits, found]
+        if solved or looped:
+            keep = ones * 255 ^ (done | _int(ends.translate(_SAME)))
+            columns = [(c & keep).to_bytes(size, "little").translate(None, b"\0") for c in state]
+        else:
+            columns = [c.to_bytes(size, "little") for c in state]
 
 
 def gf_playback(strategy: Strategy) -> Stats:
@@ -673,21 +751,26 @@ def gf_playback(strategy: Strategy) -> Stats:
     ``decomposition_stats``, by playing out every one of the n! secrets.
 
     The secrets are played together, one round at a time, in blocks of
-    ``PLAYBACK_BLOCK`` (``_play_block``), with the guess-update rule of
-    ``engine._mover`` and nothing of the decomposition.  A block is
-    permutations z from S_n, each played as the secret z^-1, and the blocks
-    together are S_n.  A game's round counter is one byte, so a strategy
-    with a component of order 255 or more is refused with ``ValueError``.
+    ``PLAYBACK_BLOCK`` (``_secret_blocks``, ``_play_block``), with the
+    guess-update rule of ``engine._mover`` and nothing of the
+    decomposition.  A block is permutations z from S_n, each played as the
+    secret z^-1, and the blocks together are S_n.  A game's round counter
+    is one byte, so a strategy with a component of order 255 or more is
+    refused with ``ValueError``, and its key two bytes, so is n > 16.
     """
     n = strategy.n
     limits = [_order(c) + 1 for c in strategy.components]
     if max(limits) > 255:
         raise ValueError(f"a component of order {max(limits) - 1} does not fit the one-byte round counter")
+    if n > 16:
+        raise ValueError(f"n = {n} does not fit the two-byte lock-set key of playback")
+    # the loop limit at each 1 + correct count; 0 where no game can loop
+    limit = bytes([0, *(limits[n - f] for f in range(1, n))]).ljust(256, b"\0")
+    sources = [_sources(strategy, high) for high in range(1 << max(n - 8, 0))]
     counts: Counter = Counter()
     rho = {1: 0, 2: 0, 3: 0}
-    secrets = itertools.permutations(range(1, n + 1))
-    while block := bytes(itertools.chain.from_iterable(itertools.islice(secrets, PLAYBACK_BLOCK))):
-        _play_block(strategy, limits, block, counts, rho)
+    for block in _secret_blocks(n):
+        _play_block(block, limit, sources, counts, rho)
     loops = counts.pop(LOOPED, 0)
     return GFCoefficients(n, dict(sorted(counts.items())), loops), rho
 
@@ -852,22 +935,30 @@ class OrbitColumns(Sequence):
     def guess_totals(self) -> list[int]:
         """Guesses summed over all n! secrets, the identity's one included,
         per orbit: the numerator of its average, where it has no loops;
-        kept for the summary and the averages (the columns never change)."""
-        totals = [1] * len(self)
+        kept for the summary and the averages (the columns never change).
+
+        One weighted sum of big ints, one per count column, whose 8-byte
+        fields hold the orbits' counts: each column is widened by one
+        strided copy per byte of its field.  A field's total is at most
+        n! (T + 1), below 2^64 for every n a scan reaches (n <= 12), so no
+        field carries into the next."""
+        width, size = self.rho[0].itemsize, 8 * len(self)
+        low = 0 if sys.byteorder == "little" else 8 - width  # where a count's bytes go in its field
+        total = int.from_bytes(array("Q", [1]) * len(self), sys.byteorder)
         for t, column in self.counts.items():
             if t != LOOPED:
-                totals = list(map(operator.add, totals, map(operator.mul, column, itertools.repeat(t + 1))))
-        return totals
+                raw, wide = column.tobytes(), bytearray(size)
+                for j in range(width):
+                    wide[low + j :: 8] = raw[j::width]
+                total += (t + 1) * int.from_bytes(wide, sys.byteorder)
+        return array("Q", total.to_bytes(size, sys.byteorder)).tolist()
 
-    def averages(self) -> tuple[list[int], list[int]]:
-        """Each orbit's average in lowest terms, as numerators and
-        denominators (reduced by one C-level ``map`` of ``gcd``); an orbit
-        with loops has an infinite average instead, and its entries mean
-        nothing."""
-        totals = self.guess_totals
-        whole = itertools.repeat(factorial(self.n))
-        common = list(map(gcd, totals, whole))
-        return list(map(operator.floordiv, totals, common)), list(map(operator.floordiv, whole, common))
+    def averages(self) -> dict[int, Fraction]:
+        """The average of each distinct guess total, total / n! in lowest
+        terms, once per total: many orbits share one.  An orbit with loops
+        has an infinite average instead, which its total does not give."""
+        whole = factorial(self.n)
+        return {total: Fraction(total, whole) for total in set(self.guess_totals)}
 
 
 def _join(n: int, chunks: list[Chunk]) -> OrbitColumns:

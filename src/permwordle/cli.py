@@ -251,11 +251,13 @@ def _coefficient_texts(stats: OrbitColumns, item: str, sep: str) -> Iterator[str
 def _average_texts(stats: OrbitColumns, fraction: str, whole: str, infinite: str) -> list[str]:
     """Per orbit, its average formatted by ``fraction`` (numerator and
     denominator in lowest terms) or, when the denominator is 1, by
-    ``whole``; ``infinite`` where the orbit loops."""
-    nums, dens = stats.averages()
-    texts = list(map(fraction.format, nums, dens))
-    for i in itertools.compress(range(len(texts)), map((1).__eq__, dens)):
-        texts[i] = whole.format(nums[i])
+    ``whole``; ``infinite`` where the orbit loops.  Each distinct guess
+    total is formatted once."""
+    formatted = {
+        total: whole.format(a.numerator) if a.denominator == 1 else fraction.format(a.numerator, a.denominator)
+        for total, a in stats.averages().items()
+    }
+    texts = list(map(formatted.__getitem__, stats.guess_totals))
     for i in itertools.compress(range(len(texts)), stats.loops()):
         texts[i] = infinite
     return texts

@@ -25,6 +25,14 @@ CS5 = strategies.cyclic_shift(5)
 CSL5 = strategies.cyclic_shift_left_top(5)
 
 
+def _random_derangement(rng, k):
+    """A uniformly random derangement of size k >= 2, by rejection."""
+    while True:
+        p = rng.sample(range(1, k + 1), k)
+        if all(v != q for q, v in enumerate(p, 1)):
+            return tuple(p)
+
+
 @functools.lru_cache(maxsize=None)
 def _derangements(k):
     """D_k as tuples in lexicographic order, for the references and the
@@ -163,9 +171,9 @@ def test_gf_playback_equals_a_solve_rounds_tally_over_several_blocks():
 
 @pytest.mark.parametrize("n", [9, 16])
 def test_row_keys_are_each_rows_fixed_points(n):
-    """Two-byte keys of rows of n + 2 bytes, whose last two bytes may
-    equal any position, against the fixed points of each row; and
-    ``_stayed`` against a key-by-key comparison."""
+    """Two-byte keys of games given as n byte columns (``_lock_planes``)
+    against the fixed points of each game; and the counter restart
+    (``_restarted``) against a game-by-game comparison of correct counts."""
     rng = random.Random(n)
     zs = []
     for _ in range(300):
@@ -176,13 +184,69 @@ def test_row_keys_are_each_rows_fixed_points(n):
         for q, v in zip(moved, values):
             z[q] = v
         zs.append(z)
-    rows = bytes(itertools.chain.from_iterable(z + [rng.randrange(256), rng.randrange(n + 3)] for z in zs))
-    keys = analysis._lock_keys(rows, n, n + 2)
+    size = len(zs)
+    planes = analysis._lock_planes([bytes(z[q] for z in zs) for q in range(n)], n)
+    assert len(planes) == 2
+    low, high = (plane.to_bytes(size, "little") for plane in planes)
     expected = [sum(1 << q for q in range(n) if z[q] == q + 1) for z in zs]
-    assert keys.itemsize == 2 and list(keys) == expected
-    last = [key if rng.random() < 0.5 else rng.randrange(1 << n) for key in expected]
-    stayed = analysis._stayed(keys, array.array("H", last).tobytes())
-    assert stayed.to_bytes(len(zs), "little") == bytes(255 if a == b else 0 for a, b in zip(expected, last))
+    assert [a | b << 8 for a, b in zip(low, high)] == expected
+    found = [1 + key.bit_count() for key in expected]
+    last = [f if rng.random() < 0.5 else rng.choice([255, *range(1, n + 2)]) for f in found]
+    counters = [rng.randrange(1, 255) for _ in zs]
+
+    def column(values):
+        return int.from_bytes(bytes(values), "little")
+
+    restarted = analysis._restarted(column(counters), column(found), column(last), column([1] * size), size)
+    assert list(restarted.to_bytes(size, "little")) == [
+        c + 1 if f == b else 1 for c, f, b in zip(counters, found, last)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_secret_blocks_hold_each_permutation_once(n):
+    rows = []
+    for block in analysis._secret_blocks(n):
+        assert len(block) == n and len({len(column) for column in block}) == 1
+        assert 0 < len(block[0]) <= analysis.PLAYBACK_BLOCK
+        rows += map(bytes, zip(*block))
+    assert len(rows) == factorial(n)
+    assert set(rows) == set(map(bytes, itertools.permutations(range(1, n + 1))))
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12])
+def test_move_of_columns_is_the_mover_game_by_game(n):
+    """One ``_move`` of games in columns against ``engine._mover`` of each
+    game's mask applied to its z, for random z of every key with at least
+    two incorrect positions: past n = 8 the games span several high key
+    bytes, each with its own source tables."""
+    rng = random.Random(3300 + n)
+    s = strategies.Strategy(((1,),) + tuple(_random_derangement(rng, k) for k in range(2, n + 1)))
+    games = []
+    for key in range(1 << n):
+        wrong = [q for q in range(n) if not key >> q & 1]
+        if len(wrong) < 2:
+            continue
+        for _ in range(2):
+            z = list(range(1, n + 1))
+            for q, j in zip(wrong, _random_derangement(rng, len(wrong))):
+                z[q] = wrong[j - 1] + 1
+            games.append(tuple(z))
+    size = len(games)
+    columns = [bytes(z[q] for z in games) for q in range(n)]
+    keys = [plane.to_bytes(size, "little") for plane in analysis._lock_planes(columns, n)]
+    if n > 8:
+        assert len(set(keys[1])) == 1 << n - 8  # every high byte occurs
+    sources = [analysis._sources(s, high) for high in range(1 << max(n - 8, 0))]
+    ones = int.from_bytes(b"\1" * size, "little")
+    moved = analysis._move([int.from_bytes(c, "little") for c in columns], keys, sources, ones)
+    rows = list(zip(*(c.to_bytes(size, "little") for c in moved)))
+    assert rows == [engine._mover(s, tuple(v != q + 1 for q, v in enumerate(z)))(z) for z in games]
+
+
+def test_gf_playback_refuses_n_beyond_the_two_byte_key():
+    with pytest.raises(ValueError, match="n = 17"):
+        analysis.gf_playback(strategies.cyclic_shift(17))
 
 
 def test_gf_playback_refuses_a_component_beyond_the_round_counter():
