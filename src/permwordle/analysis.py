@@ -43,13 +43,16 @@ only those, ordered by depth.  Tops of one cycle type are conjugate, so
 their ends are the rounds of one walk per cycle type over the d that
 start a chain (``_chain_rows``, the same ``_lock_rounds``), relabelled
 per top and keyed by entry (``_entries``), one lookup per level-1 end
-(``_top_ends``).  Under several prefixes a chunk counts all its tops
-together: big-int counters hold one fixed-width field per top, one
-C-level sum of chain-end planes per chain length m (``_top_chains``)
-and value v of V adds to every top's count of T = m + v at once
-(``_top_counts``), and a prefix's counter for T, as bytes, is its count
-column for T.  Under one prefix each top is read off V by itself, each
-end's code once for every length it ends (``_top_stats``).
+(``_top_ends``), which is all either route reads of a top.  An end of
+depth k and code v = V(y) stands for one d of each m = 1..k, so for
+T = v + 1, ..., v + k (``_depth_ts``).  Under several prefixes a chunk
+counts all its tops together: big-int counters hold one fixed-width
+field per top, one plane per (depth k, entry) holds each top's number
+of level-1 ends of depth k there (``_top_block``), one C-level sum of
+planes per depth k and value v of V adds to every top's count of each
+of those T at once (``_top_counts``), and a prefix's counter for T, as
+bytes, is its count column for T.  Under one prefix each top is read
+off V by itself, each end's code once (``_top_stats``).
 
 Averages are exact rationals; a strategy that loops on any secret gets an
 infinite average and sorts after every terminating strategy.
@@ -195,23 +198,6 @@ def _top_values(n: int, tables: Tables) -> bytes:
     return bytes(LOOPED_CODE if t == LOOPED else t for t in flat)
 
 
-class TopChains(NamedTuple):
-    """The no-lock chains over D_n of a top component s, whatever is below.
-
-    The chain of d is x_1 = s o d, x_(i+1) = s o x_i while x_i is deranged;
-    it ends at y(d) = x_m, the first composition with a fixed point, after
-    m(d) = m steps.  ``ends[m - 1]``, level m, holds the entry of rd(y(d))
-    (``_entries``) for each d with m(d) = m; ``loops`` counts the d whose
-    chain repeats.  The levels are nested (``_chain_rows``): level m is
-    the suffix of the level-1 ends, ordered by depth, whose depth is at
-    least m.  Tops of one cycle type are conjugate, and ``_top_ends``
-    reads all their chains off one walk.
-    """
-
-    ends: tuple[list[int], ...]
-    loops: int
-
-
 @lru_cache(maxsize=None)
 def _chain_rows(lengths: tuple[int, ...]) -> tuple[bytes, tuple[int, ...], int]:
     """The level-1 chain ends of c, the permutation of cycle type
@@ -288,16 +274,11 @@ def _top_ends(top: Perm) -> tuple[list[int], tuple[int, ...], int]:
     return list(map(_entries(n).__getitem__, memoryview(words).cast("Q").tolist())), counts, loops
 
 
-def _top_chains(top: Perm) -> TopChains:
-    """``TopChains`` of ``top``: level m is the suffix of its level-1 ends
-    (``_top_ends``) from the first of depth m.  While some chain loops the
-    levels run on, empty, to the order of the top minus one, as the rounds
-    of its walk would."""
-    ends, counts, loops = _top_ends(top)
-    starts = [*itertools.accumulate(counts[:-1], initial=0)]
-    if loops:
-        starts += [len(ends)] * (_order(top) - 1 - len(starts))
-    return TopChains(tuple(ends[start:] for start in starts), loops)
+def _depth_ts(v: int, depth: int) -> Iterable[int | float]:
+    """The T of the d whose chains end at a level-1 end of this ``depth``
+    with code v: one d of each m = 1..depth (``_chain_rows``), so
+    T = v + 1, ..., v + depth, or LOOPED ``depth`` times."""
+    return [LOOPED] * depth if v == LOOPED_CODE else range(v + 1, v + depth + 1)
 
 
 def _top_stats(top: Perm, values: bytes) -> Hist:
@@ -305,8 +286,7 @@ def _top_stats(top: Perm, values: bytes) -> Hist:
     T(d) = m(d) + V(y(d)) (LOOPED if either is), with m and y from the
     no-lock chains of the top.  Each level-1 end y of depth k is y(d) for
     one d of each m = 1..k (``_chain_rows``), so its code v = V(y) is read
-    once and counts once for each T = v + 1, ..., v + k, or k times for
-    LOOPED."""
+    once and counts once for each T of ``_depth_ts``."""
     ends, counts, loops = _top_ends(top)
     # The trailing entry keeps the getter's result a tuple; it is cut.
     found = bytes(operator.itemgetter(*ends, 0)(values))[:-1]
@@ -317,7 +297,7 @@ def _top_stats(top: Perm, values: bytes) -> Hist:
         start += count
         for v in set(part):
             times = part.count(v)
-            for t in [LOOPED] * depth if v == LOOPED_CODE else range(v + 1, v + depth + 1):
+            for t in _depth_ts(v, depth):
                 hist[t] = hist.get(t, 0) + times
     return hist
 
@@ -485,10 +465,10 @@ def _field_code(n: int) -> str:
 
 class TopBlock(NamedTuple):
     """Bit-sliced counters for the tops of a scan chunk: big ints with one
-    fixed-width field per top.  ``planes[m - 1]`` pairs the
-    entries of V (``TopChains.ends``) where some top's chain of length m
-    ends with the plane of each such (m, entry), which holds in the field
-    of every top the number of its chains of length m that end there;
+    fixed-width field per top.  ``planes[k - 1]`` pairs the entries of V
+    where some top has a level-1 chain end of depth k (``_top_ends``) with
+    the plane of each such (k, entry), which holds in the field of every
+    top the number of its level-1 ends of depth k at that entry;
     ``loops`` each top's count of looping chains and ``ones`` 1 in each."""
 
     planes: list[tuple[list[int], list[int]]]
@@ -496,26 +476,33 @@ class TopBlock(NamedTuple):
     ones: int
 
 
-def _top_block(chains: list[TopChains], code: str) -> TopBlock:
-    """The ``TopBlock`` of the tops with these ``chains``.  y = s^m o d is
-    injective in d and C(n, k) permutations share one rd of size k, so an
-    entry occurs at most C(n, floor(n / 2)) times in a top's ends of one
-    length, 126 at n = 9: each top's ends make a row of one-byte counts
-    over the entries (a larger count would raise ``ValueError``, not wrap),
-    and one strided slice copies it into that top's field of every plane."""
+def _top_block(tops: list[Perm], code: str) -> TopBlock:
+    """The ``TopBlock`` of ``tops``, one ``Counter`` of entries per depth
+    class of each top's level-1 ends.  y = s o d is injective in d and
+    C(n, j) permutations share one rd of size j, so an entry occurs at most
+    C(n, floor(n / 2)) times among a top's level-1 ends, 126 at n = 9, and
+    no more often in one depth class: each top's ends of depth k make a row
+    of one-byte counts over the entries (a larger count would raise
+    ``ValueError``, not wrap), and one strided slice copies it into that
+    top's field of every plane."""
     width = array(code).itemsize
-    stride = width * len(chains)
+    stride = width * len(tops)
     low = 0 if sys.byteorder == "little" else width - 1  # the byte that holds a count
+    classes, loops = [], []
+    for top in tops:
+        ends, counts, looped = _top_ends(top)
+        bounds = itertools.pairwise(itertools.accumulate(counts, initial=0))
+        classes.append([Counter(ends[start:stop]) for start, stop in bounds])
+        loops.append(looped)
     planes = []
-    for m in range(max(len(c.ends) for c in chains)):
-        support = sorted(set().union(*(c.ends[m] for c in chains if m < len(c.ends))))
+    for k in range(max(map(len, classes))):
+        support = sorted(set().union(*(c[k] for c in classes if k < len(c))))
         at = dict(zip(support, itertools.count()))
         flat = bytearray(stride * len(support))
-        for i, c in enumerate(chains):
-            if m < len(c.ends):
+        for i, c in enumerate(classes):
+            if k < len(c):
                 row = bytearray(len(support))
-                counted = Counter(c.ends[m])
-                deque(map(row.__setitem__, map(at.__getitem__, counted), counted.values()), maxlen=0)
+                deque(map(row.__setitem__, map(at.__getitem__, c[k]), c[k].values()), maxlen=0)
                 flat[i * width + low :: stride] = row
         view = memoryview(flat)
         rows = (view[i : i + stride] for i in range(0, len(flat), stride))
@@ -524,27 +511,28 @@ def _top_block(chains: list[TopChains], code: str) -> TopBlock:
     def packed(counts: Iterable[int]) -> int:
         return int.from_bytes(array(code, counts).tobytes(), sys.byteorder)
 
-    return TopBlock(planes, packed(c.loops for c in chains), packed([1] * len(chains)))
+    return TopBlock(planes, packed(loops), packed([1] * len(tops)))
 
 
 def _block_counts(block: TopBlock, lower: LowerPrefix) -> dict[int | float, int]:
     """By T, the block's counter of the secrets besides the identity that
     take 1 + T guesses under ``lower`` (T = LOOPED: they loop).
 
-    Per chain length m, the planes of the entries where V = v are added into
-    the counter of T = m + v by one C-level ``sum``; the lower histogram
-    adds ``weighted[T]`` to every field.  Every addend is nonnegative and a
-    field's total over all counters is n! - 1, which its width holds, so no
-    sum carries from one field into the next."""
+    Per depth k, the planes of the entries where V = v are added by one
+    C-level ``sum``, and the sum into the counter of each T of
+    ``_depth_ts(v, k)``; the lower histogram adds ``weighted[T]`` to every
+    field.  Every addend is nonnegative and a field's total over all
+    counters is n! - 1, which its width holds, so no sum carries from one
+    field into the next."""
     counts = {t: cnt * block.ones for t, cnt in lower.weighted.items()}
     if block.loops:
         counts[LOOPED] = counts.get(LOOPED, 0) + block.loops
-    for m, (support, planes) in enumerate(block.planes, 1):
+    for depth, (support, planes) in enumerate(block.planes, 1):
         found = bytes(map(lower.values.__getitem__, support))
         for v in set(found):
-            t = LOOPED if v == LOOPED_CODE else m + v
-            selected = itertools.compress(planes, found.translate(_SELECT[v]))
-            counts[t] = counts.get(t, 0) + sum(selected)
+            total = sum(itertools.compress(planes, found.translate(_SELECT[v])))
+            for t in _depth_ts(v, depth):
+                counts[t] = counts.get(t, 0) + total
     return counts
 
 
@@ -555,7 +543,7 @@ def _top_counts(n: int, tops: list[Perm], lowers: list[LowerPrefix]) -> list[dic
     of all the tops, one pass over it per lower prefix, and each counter
     read out once, as its bytes, which are that prefix's count column."""
     code = _field_code(n)
-    block = _top_block([_top_chains(top) for top in tops], code)
+    block = _top_block(tops, code)
     size = array(code).itemsize * len(tops)
     return [
         {t: c.to_bytes(size, sys.byteorder) for t, c in _block_counts(block, lower).items()}

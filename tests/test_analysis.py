@@ -665,8 +665,8 @@ def test_lookup_route_equals_fresh_decomposition(monkeypatch, kind, n):
     """``_evaluate`` reads every top size off its lower prefix's lookup
     table; a fresh memo never does.  Both must give the same (gf, rho) for
     every strategy of the family."""
-    built = {"ends": 0, "chains": 0, "values": 0}
-    for name, key in (("_top_ends", "ends"), ("_top_chains", "chains"), ("_top_values", "values")):
+    built = {"ends": 0, "block": 0, "values": 0}
+    for name, key in (("_top_ends", "ends"), ("_top_block", "block"), ("_top_values", "values")):
         def counting(*args, _orig=getattr(analysis, name), _key=key):
             built[_key] += 1
             return _orig(*args)
@@ -678,14 +678,14 @@ def test_lookup_route_equals_fresh_decomposition(monkeypatch, kind, n):
         analysis.decomposition_stats(strategies.Strategy(c)) for c in family
     ]
     # One V per lower prefix and one read of each top's chain ends, whether
-    # the tops are counted together (several prefixes, through
-    # ``_top_chains``) or one by one (one prefix, straight off the ends); a
+    # the tops are counted together (several prefixes, in one
+    # ``_top_block``) or one by one (one prefix, straight off the ends); a
     # lone decomposition builds none, nor does ``_evaluate`` of a family of
     # one strategy.
     ranked = n > 1 and len(family) > 1
     assert built["values"] == ranked * len(prefixes)
     assert built["ends"] == ranked * len(tops)
-    assert built["chains"] == (ranked and len(prefixes) > 1) * len(tops)
+    assert built["block"] == (ranked and len(prefixes) > 1)
 
 
 def _product(kind, n):
@@ -859,7 +859,7 @@ def test_join_refuses_broken_columns():
 def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, code):
     """``_evaluate`` of a chunk of several lower prefixes counts all its
     tops with the bit-sliced counters of ``_top_counts``, in one
-    ``TopBlock``; each strategy's (gf, rho) must equal its lone
+    ``TopBlock`` of depth-class planes; each strategy's (gf, rho) must equal its lone
     decomposition, with 2- or 4-byte fields.  A chunk of one prefix (the
     whole family below n = 4, and an inductive one) reads every top off V
     with ``_top_stats``.  (The other sizes to 5 are compared by
@@ -869,9 +869,9 @@ def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, code):
     blocks, lone = [], []
     make_block, top_stats = analysis._top_block, analysis._top_stats
 
-    def block(chains, code):
-        blocks.append(len(chains))
-        return make_block(chains, code)
+    def block(tops, code):
+        blocks.append(len(tops))
+        return make_block(tops, code)
 
     def single(top, values):
         lone.append(top)
@@ -1236,7 +1236,8 @@ def _pair_swap_top(n):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_top_chains_are_prefix_independent(n):
     """T(d) = m(d) + V(y(d)) under every lower prefix, with m, y, the loop
-    and no-lock counts taken once per top from ``_top_chains``."""
+    and no-lock counts taken once per top from ``_top_ends``: an end of
+    depth k is the y of one d of each m = 1..k."""
     rng = random.Random(4100 + n)
     entry = _reference_entries(n)
     tops = [
@@ -1246,12 +1247,12 @@ def test_top_chains_are_prefix_independent(n):
         _pair_swap_top(n),
     ]
     for top in tops:
-        chains = analysis._top_chains(top)
+        classes, loops = _depth_classes(top)
         ends = [_no_lock_chain(top, d) for d in _derangements(n)]
         reached = sorted((m, entry[engine.relative_derangement(y)]) for m, y in filter(None, ends))
-        found = [(m, y) for m, ends_m in enumerate(chains.ends, 1) for y in ends_m]
+        found = [(m, y) for k, ends_k in enumerate(classes, 1) for y in ends_k for m in range(1, k + 1)]
         assert sorted(found) == reached
-        assert chains.loops == ends.count(None)
+        assert loops == ends.count(None)
         no_lock = ends.count((2, perms.identity(n)))
         for prefix in _prefixes(n, rng):
             s = strategies.Strategy(prefix + (top,))
@@ -1270,7 +1271,7 @@ def test_top_chains_are_prefix_independent(n):
                 else:
                     assert t == end[0] + v
             looped = sum(values[y] == analysis.LOOPED_CODE for _, y in found)
-            assert fresh.count(LOOPED) == chains.loops + looped
+            assert fresh.count(LOOPED) == loops + looped
             hist = {t: fresh.count(t) for t in fresh}
             assert analysis._top_stats(top, values) == hist
             assert analysis.decomposition_stats(s)[1][3] == no_lock
@@ -1295,7 +1296,10 @@ def _reference_walk_base(n):
 
 
 def _reference_top_chains(top):
-    """``TopChains`` of ``top`` by its own walk over D_n, all chains at once:
+    """The chain ends of ``top`` by its own walk over D_n, all chains at
+    once, as (levels, loops): level m holds the end of each d with
+    m(d) = m, and loops counts the d whose chain repeats.  The walk is
+    independent of ``_chain_rows``:
     one ``translate`` composes the top with every d, and a deranged x_i is
     some d' in D_n, so x_(i+1) = top o d' is read off those compositions by
     its position.  A chain that has not ended by the order of the top
@@ -1315,13 +1319,30 @@ def _reference_top_chains(top):
         ended = [a < 0 for a in at]
         ends.append([entry[x] for x in itertools.compress(xs, ended)])
         xs = [firsts[a] for a in at if a >= 0]
-    return analysis.TopChains(tuple(ends), len(xs))
+    return ends, len(xs)
 
 
-def _chain_pairs(chains):
-    """The chain ends as sorted entries by m, which is the sorted
-    (m, entry) pairs, and the loop count."""
-    return [sorted(ends) for ends in chains.ends], chains.loops
+def _depth_classes(top):
+    """The level-1 ends of ``top`` (``_top_ends``) split into its depth
+    classes, each as sorted entries, and its loop count."""
+    ends, counts, loops = analysis._top_ends(top)
+    bounds = itertools.pairwise(itertools.accumulate(counts, initial=0))
+    return [sorted(ends[start:stop]) for start, stop in bounds], loops
+
+
+def _reference_classes(top):
+    """Depth class k of the reference walk: level k less level k + 1, as
+    multisets, each level holding the next, with empty trailing classes
+    (the levels a looping walk runs on to the order of the top) dropped;
+    and its loop count."""
+    levels, loops = _reference_top_chains(top)
+    levels = [collections.Counter(level) for level in levels] + [collections.Counter()]
+    for level, deeper in zip(levels, levels[1:]):
+        assert not deeper - level
+    classes = [sorted((level - deeper).elements()) for level, deeper in zip(levels, levels[1:])]
+    while classes and not classes[-1]:
+        classes.pop()
+    return classes, loops
 
 
 @pytest.mark.parametrize(
@@ -1329,9 +1350,9 @@ def _chain_pairs(chains):
 )
 def test_conjugation_route_equals_the_per_top_walk(kind, n):
     """Every distinct top of the family: the chains read off its cycle
-    type's walk are its own walk's, as (m, entry) pairs and loops."""
+    type's walk are its own walk's, as depth classes of entries and loops."""
     for top in strategies.component_pools(n, kind)[-1]:
-        assert _chain_pairs(analysis._top_chains(top)) == _chain_pairs(_reference_top_chains(top))
+        assert _depth_classes(top) == _reference_classes(top)
 
 
 def _cycle_types(n, least=2):
@@ -1359,9 +1380,9 @@ def test_conjugation_route_equals_the_per_top_walk_at_every_cycle_type(n):
             for a, b in zip(block, block[1:] + block[:1]):
                 top[values[a - 1] - 1] = values[b - 1]  # top = p c p^-1
         tops.append(tuple(top))
-    reference = [_chain_pairs(_reference_top_chains(top)) for top in tops]
+    reference = [_reference_classes(top) for top in tops]
     assert any(loops for _, loops in reference)
-    assert [_chain_pairs(analysis._top_chains(top)) for top in tops] == reference
+    assert [_depth_classes(top) for top in tops] == reference
 
 
 def _block_cycle(lengths):
@@ -1460,15 +1481,63 @@ def test_scan_walks_the_chains_once_per_cycle_type(monkeypatch, kind, n, types):
 
 
 def test_planes_hold_counts_up_to_the_middle_binomial():
-    """At n = 9 the right shift's chains of one length end at one entry of V
-    up to C(9, 4) = 126 times, and its plane holds that count in one byte;
+    """At n = 9 the right shift's level-1 ends meet at one entry of V up to
+    C(9, 4) = 126 times, up to 90 of them in one depth class, and the plane
+    of each (depth, entry) holds its count in one byte;
     ``test_counter_route_equals_lone_decomposition`` checks the sums."""
-    chains = analysis._top_chains(strategies.cyclic_shift(9).top)
-    block = analysis._top_block([chains], "I")
+    top = strategies.cyclic_shift(9).top
+    block = analysis._top_block([top], "I")
     counts = [plane for _, planes in block.planes for plane in planes]
-    expected = [collections.Counter(ends) for ends in chains.ends]
+    expected = [collections.Counter(ends) for ends in _depth_classes(top)[0]]
     assert counts == [c[e] for c in expected for e in sorted(c)]
-    assert max(counts) == comb(9, 4) == 126
+    assert max(counts) == 90
+    assert max(collections.Counter(analysis._top_ends(top)[0]).values()) == comb(9, 4) == 126
+
+
+def test_depth_planes_add_up_to_the_level_one_counts():
+    """In one block of every top of deranged n = 6 (four cycle types; the
+    pair-swap top's chains loop), and in the right shift's at n = 9, a
+    top's depth planes at an entry add up to the number of its level-1
+    ends there (``_top_ends``), which is at most C(n, floor(n / 2)), and
+    each top's field of ``loops`` is its loop count.  Deranged n = 5 adds
+    a sum into LOOPED once per depth: 3 of its 9 lower prefixes have a
+    LOOPED code at a level-1 end of depth 2 or more."""
+    deranged = strategies.component_pools(6, "deranged")[-1]
+    assert {tuple(sorted(map(len, analysis._cycles(t)))) for t in deranged} == {
+        (6,), (2, 4), (3, 3), (2, 2, 2)
+    }
+    for tops, code in ((deranged, "H"), ([strategies.cyclic_shift(9).top], "I")):
+        n = len(tops[0])
+        block = analysis._top_block(tops, code)
+        size = array.array(code).itemsize * len(tops)
+
+        def fields(counter):
+            return memoryview(counter.to_bytes(size, sys.byteorder)).cast(code).tolist()
+
+        summed = [collections.Counter() for _ in tops]
+        for support, planes in block.planes:
+            for entry, plane in zip(support, planes):
+                for i, count in enumerate(fields(plane)):
+                    summed[i][entry] += count
+        level_one = [analysis._top_ends(top) for top in tops]
+        for found, (ends, _, _) in zip(summed, level_one):
+            assert +found == collections.Counter(ends)
+        most = max(max(found.values()) for found in summed)
+        assert most <= comb(n, n // 2)
+        assert fields(block.loops) == [loops for _, _, loops in level_one]
+    assert most == 126
+    assert fields(analysis._top_block([_pair_swap_top(6)], "H").loops)[0] > 0
+
+    _, prefixes, tops = analysis._orbit_map("deranged", strategies.component_pools(5, "deranged"))
+    deep = [ends[counts[0]:] for ends, counts, _ in map(analysis._top_ends, tops)]
+    looping = 0
+    for prefix in prefixes:
+        s = strategies.Strategy(prefix + (tops[0],))
+        memo = SubgameMemo()
+        analysis.decomposition_stats(s, memo)
+        values = analysis._top_values(5, memo.tables_up_to(s, 4))
+        looping += any(values[y] == analysis.LOOPED_CODE for ends in deep for y in ends)
+    assert (looping, len(prefixes)) == (3, 9)
 
 
 def test_memo_row_reads_back_only_its_strategy(monkeypatch):
