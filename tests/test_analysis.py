@@ -859,8 +859,8 @@ def test_join_refuses_broken_columns():
 def test_counter_route_equals_lone_decomposition(monkeypatch, kind, n, code):
     """``_evaluate`` of a chunk of several lower prefixes counts all its
     tops with the bit-sliced counters of ``_top_counts``, in one
-    ``TopBlock`` of depth-class planes; each strategy's (gf, rho) must equal its lone
-    decomposition, with 2- or 4-byte fields.  A chunk of one prefix (the
+    ``TopBlock`` of depth-class planes; each strategy's (gf, rho) must
+    equal its lone decomposition, with 2- or 4-byte fields.  A chunk of one prefix (the
     whole family below n = 4, and an inductive one) reads every top off V
     with ``_top_stats``.  (The other sizes to 5 are compared by
     ``test_lookup_route_equals_fresh_decomposition``.)"""
